@@ -16,13 +16,18 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import io
 from .errors import ConfigError, MsprobitError
-from .metrics import evaluate_splits, fit_standardizer
+from .metrics import (
+    class_probabilities,
+    evaluate_splits,
+    fit_standardizer,
+    latent_scores,
+)
 from .model import ChainConfig, Dataset
 from .presets import SIM_PRESETS, chain_preset, experiment_preset, preset_names
 from .sampler import DrawSet, mcse_mean, run_chains
@@ -50,33 +55,35 @@ def _json_value(x):
     return x if np.isfinite(x) else None
 
 
-def _resolve_chain_config(args) -> tuple[ChainConfig, int]:
+def _mcse(x: np.ndarray):
+    # batch means needs at least 4 draws; with fewer the MCSE is unknown
+    return _json_value(mcse_mean(x)) if x.size >= 4 else None
+
+
+def _config_doc(args) -> dict:
+    """The --config file as a dict, or {} when there is none."""
+    if args.preset and args.config:
+        raise ConfigError("pass either --preset or --config, not both")
+    return io.read_json_object(args.config) if args.config else {}
+
+
+def _resolve_chain_config(args, doc: dict) -> tuple[ChainConfig, int]:
     """Merge preset/config-file/flags into one chain configuration.
 
-    Precedence: explicit flags beat the file or preset, which beats
-    defaults. --preset and --config are mutually exclusive.
+    doc is the --config file's object (see _config_doc). Precedence:
+    explicit flags beat the file or preset, which beats defaults.
     """
-    if getattr(args, "preset", None) and getattr(args, "config", None):
-        raise ConfigError("pass either --preset or --config, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         config, num_chains = chain_preset(args.preset), 1
-    elif getattr(args, "config", None):
-        config, num_chains = io.read_chain_config(args.config)
     else:
-        config, num_chains = ChainConfig(), 1
+        config, num_chains = io.chain_config_from_dict(doc)
     if args.seed is not None:
-        config = _with(config, seed=int(args.seed))
-    if getattr(args, "chains", None) is not None:
+        config = replace(config, seed=int(args.seed))
+    if args.chains is not None:
         num_chains = int(args.chains)
         if num_chains < 1:
             raise ConfigError(f"--chains must be >= 1, got {num_chains}")
     return config, num_chains
-
-
-def _with(config: ChainConfig, **kw) -> ChainConfig:
-    from dataclasses import replace
-
-    return replace(config, **kw)
 
 
 def _out_path(args, name: str) -> str:
@@ -88,8 +95,7 @@ def _out_path(args, name: str) -> str:
 
 
 def cmd_simulate(args):
-    if args.preset and args.config:
-        raise ConfigError("pass either --preset or --config, not both")
+    doc = _config_doc(args)
     if args.preset:
         if args.preset not in SIM_PRESETS:
             raise ConfigError(
@@ -97,13 +103,7 @@ def cmd_simulate(args):
                 f"{', '.join(preset_names())}"
             )
         doc = dict(SIM_PRESETS[args.preset])
-    elif args.config:
-        with open(args.config) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-    else:
+    elif not args.config:
         raise ConfigError("simulate needs --preset or --config")
 
     allowed = {
@@ -154,7 +154,7 @@ def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
         "beta": {
             "mean": [float(v) for v in beta.mean(axis=0)],
             "sd": [float(v) for v in beta.std(axis=0)],
-            "mcse": [_json_value(mcse_mean(beta[:, j])) for j in range(beta.shape[1])],
+            "mcse": [_mcse(beta[:, j]) for j in range(beta.shape[1])],
         },
         "gamma": {
             str(s.scale_id): {
@@ -177,12 +177,10 @@ def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
 
 def cmd_fit(args):
     dataset = _load_dataset(args)
-    config, num_chains = _resolve_chain_config(args)
+    config, num_chains = _resolve_chain_config(args, _config_doc(args))
     if args.standardize:
         mean, sd = fit_standardizer(dataset.features)
-        from dataclasses import replace as _replace
-
-        dataset = _replace(dataset, features=(dataset.features - mean) / sd)
+        dataset = replace(dataset, features=(dataset.features - mean) / sd)
         io.write_standardizer(_out_path(args, "standardization.json"), mean, sd)
 
     t0 = time.monotonic()
@@ -217,6 +215,11 @@ def cmd_predict(args):
     scale = next(s for s in draws.scales if s.scale_id == target)
 
     X = dataset.features
+    if draws.beta_draws.shape[1] != X.shape[1]:
+        raise ConfigError(
+            f"draws have {draws.beta_draws.shape[1]} coefficients, "
+            f"dataset has {X.shape[1]} features"
+        )
     if args.transform:
         mean, sd = io.read_standardizer(args.transform)
         if mean.size != X.shape[1]:
@@ -225,17 +228,13 @@ def cmd_predict(args):
             )
         X = (X - mean) / sd
 
-    scores = X @ draws.beta_draws.T  # (n, M)
-    gam = draws.gamma_draws_for(target)  # (M, C-1)
-    n, m = scores.shape
-    cdf = np.empty((n, scale.num_classes + 1, m))
-    cdf[:, 0, :] = 0.0
-    cdf[:, -1, :] = 1.0
-    for c in range(scale.num_thresholds):
-        cdf[:, c + 1, :] = ndtr(gam[:, c][None, :] - scores)
-    probs = np.diff(cdf, axis=1).mean(axis=2)  # posterior-averaged (n, C)
+    # posterior-averaged (n, C)
+    probs = class_probabilities(
+        draws.beta_draws, draws.gamma_draws_for(target), X
+    ).mean(axis=2)
     map_class = np.argmax(probs, axis=1) + 1
-    rank = scores.mean(axis=1)
+    rank = latent_scores(draws.beta_draws, X).mean(axis=1)
+    n = X.shape[0]
 
     header = ["row", "scale_id", "label", "rank_score", "map_class"] + [
         f"prob_{c}" for c in range(1, scale.num_classes + 1)
@@ -260,33 +259,14 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     dataset = _load_dataset(args)
-    fraction = args.fraction
-    splits = args.splits
-    if args.preset and args.config:
-        raise ConfigError("pass either --preset or --config, not both")
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-        doc_fraction = doc.pop("split_fraction", None)
-        doc_splits = doc.pop("num_splits", None)
-        fraction = fraction if fraction is not None else doc_fraction
-        splits = splits if splits is not None else doc_splits
-        config, num_chains = io.chain_config_from_dict(doc)
-        if args.seed is not None:
-            config = _with(config, seed=int(args.seed))
-        if args.chains is not None:
-            num_chains = int(args.chains)
-    else:
-        config, num_chains = _resolve_chain_config(args)
-    if fraction is None:
-        fraction = 2.0 / 3.0
-    if splits is None:
-        splits = 10
+    doc = _config_doc(args)
+    fraction = doc.pop("split_fraction", 2.0 / 3.0)
+    splits = doc.pop("num_splits", 10)
+    if args.fraction is not None:
+        fraction = args.fraction
+    if args.splits is not None:
+        splits = args.splits
+    config, num_chains = _resolve_chain_config(args, doc)
 
     report = evaluate_splits(
         dataset,
@@ -308,14 +288,7 @@ def cmd_evaluate(args):
 # -- experiment ------------------------------------------------------------
 
 
-def _experiment_config_from_file(path: str, seed_override) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+def _experiment_config(doc: dict, seed_override) -> ExperimentConfig:
     allowed = {
         "replications",
         "num_scales",
@@ -352,14 +325,13 @@ def _experiment_config_from_file(path: str, seed_override) -> ExperimentConfig:
 
 
 def cmd_experiment(args):
-    if args.preset and args.config:
-        raise ConfigError("pass either --preset or --config, not both")
+    doc = _config_doc(args)
     if args.preset:
         config = experiment_preset(
             args.preset, seed=args.seed if args.seed is not None else 0
         )
     elif args.config:
-        config = _experiment_config_from_file(args.config, args.seed)
+        config = _experiment_config(doc, args.seed)
     else:
         raise ConfigError("experiment needs --preset or --config")
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .errors import DegeneracyError, LinearAlgebraError, NumericalError
+from .errors import DegeneracyError, NumericalError
 
 # Interval probability below which truncated sampling is refused outright.
 MASS_FLOOR = 1e-300
@@ -266,33 +266,3 @@ def draw_mvn_given_cholesky(
     )
     return mean + noise
 
-
-def sample_mvn_from_precision(
-    precision_times_mean: np.ndarray,
-    precision: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw from the normal with the given precision parameterization.
-
-    The target has covariance inverse(precision) and mean
-    inverse(precision) @ precision_times_mean; a single Cholesky
-    factorization serves both the mean solve and the noise transform.
-    """
-    b = np.asarray(precision_times_mean, dtype=float)
-    prec = np.asarray(precision, dtype=float)
-    if prec.ndim != 2 or prec.shape[0] != prec.shape[1] or b.shape != (prec.shape[0],):
-        raise ValueError(
-            f"shape mismatch: precision {prec.shape}, "
-            f"precision_times_mean {b.shape}"
-        )
-    if not np.allclose(prec, prec.T, rtol=1e-10, atol=0.0):
-        raise LinearAlgebraError("precision matrix is not symmetric")
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh(prec)
-        raise LinearAlgebraError(
-            "precision matrix is not positive definite: eigenvalue range "
-            f"[{eigs.min():.6g}, {eigs.max():.6g}]"
-        ) from exc
-    return draw_mvn_given_cholesky(chol, b, rng)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +42,18 @@ def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]):
     for row in rows:
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_json_object(path: str) -> dict:
+    """Parse a JSON file that must hold one object; ConfigError otherwise."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return doc
 
 
 # -- dataset ---------------------------------------------------------------
@@ -87,14 +100,13 @@ def read_dataset(path: str, sidecar_path: str) -> Dataset:
                     [f"{path} line {ln}: {exc}"]
                 ) from None
 
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json_object(sidecar_path)
     try:
         scales = tuple(
             ScaleSpec(scale_id=int(sid), num_classes=int(c))
             for sid, c in sorted(sidecar["scales"].items(), key=lambda kv: int(kv[0]))
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetValidationError(
             [f"bad scale sidecar {sidecar_path}: {exc}"]
         ) from None
@@ -148,42 +160,62 @@ def write_draws(path: str, draws: DrawSet):
 
 def read_draws(path: str) -> DrawSet:
     """Rebuild a draw set from CSV; acceptance counters are not stored in
-    the file and come back zero."""
+    the file and come back zero.
+
+    Raises ConfigError unless the file has the layout write_draws gives it,
+    at least one row, only finite values, and strictly increasing
+    thresholds in every row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["chain_id", "iteration"]:
             raise ConfigError(f"{path}: header must start with chain_id,iteration")
-        beta_cols = [h for h in header if h.startswith("beta_")]
-        gamma_groups: dict[int, int] = {}
-        for h in header:
-            if h.startswith("gamma_"):
-                _, sid, j = h.split("_")
-                gamma_groups[int(sid)] = max(gamma_groups.get(int(sid), 0), int(j))
         data = [row for row in reader]
 
-    p = len(beta_cols)
-    scales = tuple(
-        ScaleSpec(scale_id=sid, num_classes=k + 1)
-        for sid, k in sorted(gamma_groups.items())
-    )
-    m = len(data)
-    chain_ids = np.array([int(r[0]) for r in data], dtype=int)
-    iteration_ids = np.array([int(r[1]) for r in data], dtype=int)
-    beta = np.array(
-        [[parse_float(v) for v in r[2 : 2 + p]] for r in data], dtype=float
-    ).reshape(m, p)
-    gammas = []
-    off = 2 + p
-    for s in scales:
-        k = s.num_thresholds
-        gammas.append(
-            np.array(
-                [[parse_float(v) for v in r[off : off + k]] for r in data],
-                dtype=float,
-            ).reshape(m, k)
+    p = sum(1 for h in header if h.startswith("beta_"))
+    num_thresholds: dict[int, int] = {}  # scale id -> its last gamma column
+    for h in header[2 + p :]:
+        match = re.fullmatch(r"gamma_(-?\d+)_([1-9]\d*)", h)
+        if match:
+            num_thresholds[int(match[1])] = int(match[2])
+    scales = tuple(ScaleSpec(sid, k + 1) for sid, k in num_thresholds.items())
+    expected = ["chain_id", "iteration"] + [f"beta_{j}" for j in range(1, p + 1)]
+    if header != expected + gamma_column_names(scales):
+        raise ConfigError(
+            f"{path}: header must be chain_id,iteration,beta_1..beta_p "
+            "then gamma_<scale>_<j> per scale"
         )
-        off += k
+    if not data:
+        raise ConfigError(f"{path}: no draw rows")
+    for ln, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
+            )
+    try:
+        chain_ids = np.array([int(r[0]) for r in data], dtype=int)
+        iteration_ids = np.array([int(r[1]) for r in data], dtype=int)
+        values = np.array([[parse_float(v) for v in r[2:]] for r in data], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path} line {bad[0] + 2}: empty or non-finite value")
+
+    beta = np.ascontiguousarray(values[:, :p])
+    gammas = []
+    off = p
+    for s in scales:
+        g = np.ascontiguousarray(values[:, off : off + s.num_thresholds])
+        bad = np.flatnonzero(np.any(np.diff(g, axis=1) <= 0, axis=1))
+        if bad.size:
+            raise ConfigError(
+                f"{path} line {bad[0] + 2}: thresholds of scale {s.scale_id} "
+                "are not strictly increasing"
+            )
+        gammas.append(g)
+        off += s.num_thresholds
     return DrawSet(
         beta_draws=beta,
         gamma_draws=tuple(gammas),
@@ -273,17 +305,6 @@ def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
     return config, num_chains
 
 
-def read_chain_config(path: str) -> tuple[ChainConfig, int]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return chain_config_from_dict(doc)
-
-
 def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):
     doc = {
         "mean": [float(v) for v in np.asarray(mean).ravel()],
@@ -293,8 +314,7 @@ def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):
 
 
 def read_standardizer(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path)
     try:
         mean = np.asarray([float(v) for v in doc["mean"]], dtype=float)
         scale = np.asarray([float(v) for v in doc["scale"]], dtype=float)
@@ -319,8 +339,12 @@ def write_truth(path: str, beta: np.ndarray, gammas: dict[int, np.ndarray], y_st
 
 
 def read_truth(path: str) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    beta = np.asarray(doc["beta"], dtype=float)
-    gammas = {int(sid): np.asarray(g, dtype=float) for sid, g in doc["gammas"].items()}
+    doc = read_json_object(path)
+    try:
+        beta = np.asarray(doc["beta"], dtype=float)
+        gammas = {
+            int(sid): np.asarray(g, dtype=float) for sid, g in doc["gammas"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad truth file: {exc}") from None
     return beta, gammas

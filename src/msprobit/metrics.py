@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, StratificationError, UndefinedCorrelationError
-from .model import ChainConfig, Dataset, ParamDraw, ScaleSpec
+from .model import ChainConfig, Dataset, ScaleSpec
 from .sampler import DrawSet, run_chains
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
@@ -149,84 +149,38 @@ def _nanmean(vec: np.ndarray) -> float:
     return float(finite.mean()) if finite.size else float("nan")
 
 
-def _gamma_index(draw: ParamDraw, scale: ScaleSpec) -> int:
-    hits = [k for k, g in enumerate(draw.gammas) if g.size == scale.num_thresholds]
-    if not hits:
-        raise ValueError(f"draw has no threshold vector for scale {scale.scale_id}")
-    if len(hits) > 1:
-        raise ValueError(
-            f"draw holds {len(hits)} scales with {scale.num_classes} classes; "
-            "pass gamma_index to pick one"
-        )
-    return hits[0]
+def latent_scores(beta_draws: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Latent mean X[i] @ beta_draws[m] of every row under every draw, shape
+    (n, M); its mean over draws is the model's ranking score."""
+    return X @ beta_draws.T
 
 
-def predict_class_probs(
-    draw: ParamDraw, x: np.ndarray, scale: ScaleSpec, gamma_index: int | None = None
+def class_probabilities(
+    beta_draws: np.ndarray, gamma_draws: np.ndarray, X: np.ndarray
 ) -> np.ndarray:
-    """Class probabilities for one observation under one posterior draw.
+    """Class probabilities of every row of X under every draw, shape (n, C, M).
 
-    The latent mean is x.beta; class c gets the normal mass between
-    thresholds c-1 and c, with -inf and +inf closing the ends, so the
-    vector always sums to 1. When the draw holds several scales with the
-    same threshold count, pass gamma_index to disambiguate.
+    Under draw m the latent mean of row i is X[i] @ beta_draws[m]; class c
+    gets the normal mass between thresholds c-1 and c of gamma_draws[m],
+    with -inf and +inf closing the ends, so each (i, :, m) sums to 1.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != draw.beta.shape:
-        raise ValueError(f"x shape {x.shape} does not match beta {draw.beta.shape}")
-    k = gamma_index if gamma_index is not None else _gamma_index(draw, scale)
-    gamma = draw.gammas[k]
-    if gamma.size != scale.num_thresholds:
-        raise ValueError(
-            f"threshold vector length {gamma.size} does not match scale "
-            f"{scale.scale_id} with {scale.num_classes} classes"
-        )
-    eta = float(x @ draw.beta)
-    upper = ndtr(gamma - eta)
-    cdf = np.concatenate(([0.0], upper, [1.0]))
-    return np.diff(cdf)
-
-
-def classify(
-    draw: ParamDraw, x: np.ndarray, scale: ScaleSpec, gamma_index: int | None = None
-) -> int:
-    """Most probable class for one observation; ties go to the lower class."""
-    probs = predict_class_probs(draw, x, scale, gamma_index)
-    return int(np.argmax(probs)) + 1
-
-
-def classify_draws(
-    beta_draws: np.ndarray,
-    gamma_draws: np.ndarray,
-    X: np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """Argmax classification of every row of X under every draw.
-
-    Returns an (n, M) matrix of 1-based labels, matching classify applied
-    pointwise.
-    """
-    scores = X @ beta_draws.T  # (n, M)
+    scores = latent_scores(beta_draws, X)
     n, m = scores.shape
+    num_classes = gamma_draws.shape[1] + 1
     cdf = np.empty((n, num_classes + 1, m))
     cdf[:, 0, :] = 0.0
     cdf[:, -1, :] = 1.0
     for c in range(num_classes - 1):
         cdf[:, c + 1, :] = ndtr(gamma_draws[:, c][None, :] - scores)
-    probs = np.diff(cdf, axis=1)
-    return np.argmax(probs, axis=1) + 1
+    return np.diff(cdf, axis=1)
 
 
-def rank_score(draws: DrawSet, x: np.ndarray) -> float:
-    """Posterior mean latent score x.beta, the model's ranking statistic."""
-    if len(draws) == 0:
-        raise ValueError("empty draw set")
-    return float(np.mean(draws.beta_draws @ np.asarray(x, dtype=float)))
-
-
-def rank_score_draws(draws: DrawSet, x: np.ndarray) -> np.ndarray:
-    """Per-draw latent scores used for per-draw rank-correlation metrics."""
-    return draws.beta_draws @ np.asarray(x, dtype=float)
+def classify_draws(
+    beta_draws: np.ndarray, gamma_draws: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Most probable class of every row of X under every draw, as an (n, M)
+    matrix of 1-based labels; ties go to the lower class."""
+    return np.argmax(class_probabilities(beta_draws, gamma_draws, X), axis=1) + 1
 
 
 def fit_standardizer(X_train: np.ndarray):
@@ -289,8 +243,8 @@ def _side_metric_rows(
         values = {name: np.full(m, np.nan) for name in names}
     else:
         gamma_draws = drawset.gamma_draws_for(scale.scale_id)
-        pred = classify_draws(drawset.beta_draws, gamma_draws, X, scale.num_classes)
-        scores = X @ drawset.beta_draws.T
+        pred = classify_draws(drawset.beta_draws, gamma_draws, X)
+        scores = latent_scores(drawset.beta_draws, X)
         f1_macro = np.empty(m)
         f1_class = np.empty((m, scale.num_classes))
         tau = np.empty(m)

@@ -124,16 +124,6 @@ class ParamDraw:
 
 
 @dataclass(frozen=True)
-class LatentState:
-    """Current augmented latent values, one per observation."""
-
-    y_star: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
-
-
-@dataclass(frozen=True)
 class Prior:
     """Gaussian prior on the shared coefficients.
 
@@ -154,14 +144,28 @@ class Prior:
         return m
 
     def precision_matrix(self, p: int) -> np.ndarray:
+        """The p x p prior precision; raises ConfigError unless it is finite,
+        symmetric and positive definite."""
         prec = np.asarray(self.precision, dtype=float)
         if prec.ndim == 0:
-            if not prec > 0:
-                raise ConfigError(f"scalar prior precision must be > 0, got {prec}")
+            if not (np.isfinite(prec) and prec > 0):
+                raise ConfigError(
+                    f"scalar prior precision must be finite and > 0, got {prec}"
+                )
             return float(prec) * np.eye(p)
         if prec.shape != (p, p):
             raise ConfigError(
                 f"prior precision has shape {prec.shape}, expected ({p}, {p})"
+            )
+        if not np.all(np.isfinite(prec)):
+            raise ConfigError("prior precision matrix has non-finite entries")
+        if not np.allclose(prec, prec.T, rtol=1e-10, atol=0.0):
+            raise ConfigError("prior precision matrix is not symmetric")
+        eigs = np.linalg.eigvalsh(prec)
+        if not eigs.min() > 0:
+            raise ConfigError(
+                "prior precision matrix is not positive definite: eigenvalue "
+                f"range [{eigs.min():.6g}, {eigs.max():.6g}]"
             )
         return prec
 

@@ -20,7 +20,6 @@ import numpy as np
 from .distributions import (
     draw_mvn_given_cholesky,
     log_interval_mass,
-    sample_mvn_from_precision,
     sample_truncated_normal,
     sample_truncated_normal_many,
 )
@@ -34,9 +33,7 @@ from .errors import (
 from .model import (
     ChainConfig,
     Dataset,
-    LatentState,
     ParamDraw,
-    Prior,
     ScaleSpec,
     default_init,
     validate_dataset,
@@ -142,48 +139,6 @@ def _edges(gamma: np.ndarray) -> np.ndarray:
     return np.concatenate(([_NEG_INF], gamma, [np.inf]))
 
 
-def draw_beta(
-    latent: LatentState, dataset: Dataset, prior: Prior, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact conjugate draw of the shared coefficients given the latents.
-
-    Posterior precision is prior precision + X'X and the mean solves
-    (prior precision + X'X) m = prior_precision @ mu0 + X'y*; one
-    factorization serves both the solve and the noise transform.
-    """
-    X = dataset.features
-    p = dataset.num_features
-    xtx = X.T @ X
-    precision = prior.precision_matrix(p) + xtx
-    b = prior.precision_matrix(p) @ prior.mean_vector(p) + X.T @ latent.y_star
-    return sample_mvn_from_precision(b, precision, rng)
-
-
-def draw_latents(
-    params: ParamDraw, dataset: Dataset, rng: np.random.Generator
-) -> LatentState:
-    """Redraw every augmented latent from its truncated-normal conditional."""
-    eta = dataset.features @ params.beta
-    lowers, uppers = _latent_bounds(dataset, params.gammas)
-    y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rng)
-    return LatentState(y_star=y_star)
-
-
-def _latent_bounds(dataset: Dataset, gammas) -> tuple[np.ndarray, np.ndarray]:
-    n = dataset.num_obs
-    lowers = np.empty(n)
-    uppers = np.empty(n)
-    for k, s in enumerate(dataset.scales):
-        rows = dataset.rows_for_scale(s.scale_id)
-        if rows.size == 0:
-            continue
-        edges = _edges(gammas[k])
-        labels = dataset.labels[rows]
-        lowers[rows] = edges[labels - 1]
-        uppers[rows] = edges[labels]
-    return lowers, uppers
-
-
 def gamma_log_acceptance_ratio(
     current: np.ndarray,
     proposed: np.ndarray,
@@ -252,27 +207,6 @@ def _propose_gammas(
     return proposed
 
 
-def mh_update_gammas(
-    scale: ScaleSpec,
-    current: np.ndarray,
-    latent: LatentState,
-    dataset: Dataset,
-    beta: np.ndarray,
-    proposal_sd: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One blocked MH update of a scale's threshold vector.
-
-    The move marginalizes the latents out, so `latent` enters only the
-    panic diagnostics; callers redraw latents right after this step.
-    """
-    current = np.asarray(current, dtype=float)
-    rows = dataset.rows_for_scale(scale.scale_id)
-    eta = dataset.features[rows] @ np.asarray(beta, dtype=float)
-    labels = dataset.labels[rows]
-    return _mh_step(scale, current, eta, labels, float(proposal_sd), rng, latent)
-
-
 def _mh_step(
     scale: ScaleSpec,
     current: np.ndarray,
@@ -280,7 +214,6 @@ def _mh_step(
     labels: np.ndarray,
     proposal_sd: float,
     rng: np.random.Generator,
-    latent: LatentState | None = None,
 ) -> tuple[np.ndarray, bool]:
     proposed = _propose_gammas(current, proposal_sd, rng)
     log_ratio = gamma_log_acceptance_ratio(current, proposed, eta, labels, proposal_sd)
@@ -291,8 +224,7 @@ def _mh_step(
             f"scale={scale.scale_id} current={current.tolist()} "
             f"proposed={proposed.tolist()} log_ratio={log_ratio} "
             f"eta_range=({eta.min() if eta.size else 'na'}, "
-            f"{eta.max() if eta.size else 'na'}) "
-            f"latent={'present' if latent is not None else 'none'}"
+            f"{eta.max() if eta.size else 'na'})"
         )
     if log_ratio >= 0.0:
         accepted = True
@@ -304,10 +236,15 @@ def _mh_step(
 
 
 class _GibbsKernel:
-    """Precomputed per-dataset machinery shared by run_chain and the tuner.
+    """The Gibbs sampler for one dataset: run_chain, the tuner and the
+    acceptance gate all step it.
 
-    The posterior precision of the coefficients never changes across
-    sweeps, so its Cholesky factor is computed once.
+    A sweep is three blocks, each a method: the thresholds of every scale,
+    the latents, the coefficients. The posterior precision of the
+    coefficients never changes across sweeps, so its Cholesky factor is
+    computed once. The class edges of all scales live in one flat array,
+    (-inf, thresholds, +inf) per scale, and each row holds the index of
+    its lower and upper edge in it.
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
@@ -339,6 +276,16 @@ class _GibbsKernel:
                 raise ConfigError(
                     f"scale {s.scale_id} declared but has no observations"
                 )
+        offsets = np.cumsum([0] + [s.num_classes + 1 for s in dataset.scales])
+        self._edges = np.full(offsets[-1], np.inf)
+        self._edges[offsets[:-1]] = _NEG_INF
+        self._threshold_pos = np.concatenate(
+            [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, dataset.scales)]
+        )
+        self._lower_pos = np.empty(dataset.num_obs, dtype=np.intp)
+        for o, rows, labels in zip(offsets, self.scale_rows, self.scale_labels):
+            self._lower_pos[rows] = o + labels - 1
+        self._upper_pos = self._lower_pos + 1
 
     def initial_state(self):
         config, dataset = self.config, self.dataset
@@ -370,10 +317,21 @@ class _GibbsKernel:
 
     def sweep(self, beta, gammas, proposal_sds, rng):
         """One full sweep; mutates gammas in place, returns (beta, accepts)."""
-        dataset = self.dataset
-        eta = dataset.features @ beta
+        eta = self.dataset.features @ beta
+        accepts = self.update_thresholds(eta, gammas, proposal_sds, rng)
+        y_star, lowers, uppers = self.draw_latents(eta, gammas, rng)
+        beta = self.draw_coefficients(y_star, rng)
+        self._check_state(beta, gammas, y_star, lowers, uppers)
+        return beta, accepts
+
+    def update_thresholds(self, eta, gammas, proposal_sds, rng) -> list[bool]:
+        """One blocked MH move per scale given the linear predictor eta;
+        replaces gammas[k] in place and returns the accept flags.
+
+        The move integrates the latents out, so it sees only the labels.
+        """
         accepts = []
-        for k, s in enumerate(dataset.scales):
+        for k, s in enumerate(self.dataset.scales):
             gammas[k], acc = _mh_step(
                 s,
                 gammas[k],
@@ -383,12 +341,22 @@ class _GibbsKernel:
                 rng,
             )
             accepts.append(acc)
-        lowers, uppers = _latent_bounds(dataset, gammas)
+        return accepts
+
+    def draw_latents(self, eta, gammas, rng):
+        """Redraw every latent from its truncated-normal conditional;
+        returns the latents and their lower and upper bounds."""
+        edges = self._edges
+        edges[self._threshold_pos] = np.concatenate(gammas)
+        lowers = edges[self._lower_pos]
+        uppers = edges[self._upper_pos]
         y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rng)
-        b = self.lam_mu + dataset.features.T @ y_star
-        beta = draw_mvn_given_cholesky(self.chol, b, rng)
-        self._check_state(beta, gammas, y_star, lowers, uppers)
-        return beta, accepts
+        return y_star, lowers, uppers
+
+    def draw_coefficients(self, y_star, rng) -> np.ndarray:
+        """Exact conjugate draw of the shared coefficients given the latents."""
+        b = self.lam_mu + self.dataset.features.T @ y_star
+        return draw_mvn_given_cholesky(self.chol, b, rng)
 
     def _check_state(self, beta, gammas, y_star, lowers, uppers):
         ok = np.all(np.isfinite(beta))

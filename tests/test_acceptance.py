@@ -19,23 +19,9 @@ from msprobit import io
 from msprobit.cli import main
 from msprobit.distributions import sample_truncated_normal_many
 from msprobit.metrics import f1_scores, harmonic_mean, kendall_tau_b
-from msprobit.model import (
-    ChainConfig,
-    Dataset,
-    LatentState,
-    ParamDraw,
-    Prior,
-    ScaleSpec,
-)
+from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import SIM_PRESETS, chain_preset, experiment_preset
-from msprobit.sampler import (
-    draw_beta,
-    draw_latents,
-    mcse_mean,
-    mh_update_gammas,
-    run_chain,
-    tune_proposal,
-)
+from msprobit.sampler import _GibbsKernel, mcse_mean, run_chain, tune_proposal
 from msprobit.simulate import labels_from_latent, run_experiment, simulate_dataset
 from msprobit.errors import UndefinedCorrelationError
 from tests.reference_binary_probit import reference_binary_fit
@@ -64,8 +50,9 @@ def _report(num, name, detail, timer, budget):
 
 def test_criterion_01_sweep_kernel_preserves_prior():
     """Successive-conditional simulation: alternate label regeneration with
-    one production Gibbs sweep under a proper prior; parameter marginals
-    must stay at the prior, checked by KS at alpha=0.01."""
+    one sweep of the production Gibbs kernel under a proper prior;
+    parameter marginals must stay at the prior, checked by KS at
+    alpha=0.01."""
     BOX = 3.0
     with _Timer() as t:
         rng = np.random.default_rng(np.random.SeedSequence([20260822, 1]))
@@ -73,7 +60,8 @@ def test_criterion_01_sweep_kernel_preserves_prior():
         X = rng.normal(size=(2 * n_half, p))
         scales = (ScaleSpec(1, 2), ScaleSpec(2, 3))
         scale_ids = np.repeat([1, 2], n_half)
-        prior = Prior(mean=0.0, precision=1.0)
+        config = ChainConfig(prior=Prior(mean=0.0, precision=1.0))
+        sds = [0.6, 0.6]
 
         beta = rng.normal(size=p)
         gammas = [
@@ -91,20 +79,20 @@ def test_criterion_01_sweep_kernel_preserves_prior():
                     labels_from_latent(y_star[n_half:], gammas[1]),
                 ]
             )
-            ds = Dataset(
-                features=X, labels=labels, scale_ids=scale_ids, scales=scales
+            kernel = _GibbsKernel(
+                Dataset(features=X, labels=labels, scale_ids=scale_ids, scales=scales),
+                config,
             )
-            sim_latent = LatentState(y_star=y_star)
-            for k, s in enumerate(scales):
-                g_new, accepted = mh_update_gammas(
-                    s, gammas[k], sim_latent, ds, beta, 0.6, rng
-                )
+            eta = X @ beta
+            proposed = list(gammas)
+            accepts = kernel.update_thresholds(eta, proposed, sds, rng)
+            for k, accepted in enumerate(accepts):
                 # flat-prior move corrected to the box prior: zero density
                 # outside the box means the move is rejected after the fact
-                if accepted and np.all(np.abs(g_new) <= BOX):
-                    gammas[k] = g_new
-            latent = draw_latents(ParamDraw(beta=beta, gammas=tuple(gammas)), ds, rng)
-            beta = draw_beta(latent, ds, prior, rng)
+                if accepted and np.all(np.abs(proposed[k]) <= BOX):
+                    gammas[k] = proposed[k]
+            latents, _, _ = kernel.draw_latents(eta, gammas, rng)
+            beta = kernel.draw_coefficients(latents, rng)
             if it % thin == thin - 1:
                 kept["b1"].append(beta[0])
                 kept["b2"].append(beta[1])
@@ -147,10 +135,10 @@ def test_criterion_02_coefficient_update_oracle():
             scale_ids=np.array([1, 1]),
             scales=(ScaleSpec(1, 2),),
         )
-        latent = LatentState(y_star=np.array([1.0, 2.0]))
-        prior = Prior(mean=0.0, precision=1.0)
+        kernel = _GibbsKernel(ds, ChainConfig(prior=Prior(mean=0.0, precision=1.0)))
+        latents = np.array([1.0, 2.0])
         draws = np.array(
-            [draw_beta(latent, ds, prior, rng)[0] for _ in range(100_000)]
+            [kernel.draw_coefficients(latents, rng)[0] for _ in range(100_000)]
         )
         mean_err = abs(draws.mean() - 5.0 / 6.0) / (5.0 / 6.0)
         var_err = abs(draws.var() - 1.0 / 6.0) / (1.0 / 6.0)

@@ -7,14 +7,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from msprobit import io
 from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError
-from msprobit.metrics import predict_class_probs
 from msprobit.model import ChainConfig, ScaleSpec
 from msprobit.sampler import run_chain
-from tests.conftest import make_two_scale_dataset
 
 
 # -- float formatting ------------------------------------------------------
@@ -245,21 +244,20 @@ def test_cli_fit_predict_summarize(sim_dir, tmp_path, capsys):
         total = sum(float(row[f"prob_{c}"]) for c in (1, 2, 3))
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    # spot-check one probability against a per-draw average
+    # spot-check the first row against a per-draw average of normal masses
+    # and its rank score against the posterior mean of the latent mean
     draws = io.read_draws(draws_path)
     ds = io.read_dataset(
         str(sim_dir / "dataset.csv"), str(sim_dir / "dataset.scales.json")
     )
-    scale = next(s for s in draws.scales if s.scale_id == 2)
-    want = np.mean(
-        [
-            predict_class_probs(draws[m], ds.features[0], scale)
-            for m in range(len(draws))
-        ],
-        axis=0,
-    )
+    eta = draws.beta_draws @ ds.features[0]
+    gam = draws.gamma_draws_for(2)
+    inf = np.full((len(draws), 1), np.inf)
+    edges = np.hstack([-inf, gam, inf])
+    want = np.diff(norm.cdf(edges - eta[:, None]), axis=1).mean(axis=0)
     got = [float(rows[0][f"prob_{c}"]) for c in (1, 2, 3)]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert float(rows[0]["rank_score"]) == pytest.approx(eta.mean(), rel=1e-12)
 
     capsys.readouterr()
     assert main(["summarize", draws_path, "--out", str(tmp_path / "sum")]) in (0,)
@@ -366,3 +364,136 @@ def test_cli_fit_standardize_writes_transform(sim_dir, tmp_path):
     )
     np.testing.assert_allclose(mean, ds.features.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(sd, ds.features.std(axis=0), rtol=1e-12)
+
+
+# -- malformed inputs end in one line and exit 1 ---------------------------
+
+
+@pytest.fixture()
+def draws_path(sim_dir, tmp_path):
+    fit_config = _write_json(tmp_path / "fit.json", FIT_CONFIG)
+    out = tmp_path / "fit"
+    assert main(["fit", str(sim_dir / "dataset.csv"), "--config", fit_config,
+                 "--out", str(out)]) == 0
+    return str(out / "draws.csv")
+
+
+def _fails_with_one_line(capsys, argv, match):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert match in err
+
+
+def test_cli_fit_rejects_malformed_scale_sidecar(sim_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.scales.json"
+    bad.write_text("{bad")
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--scales", str(bad),
+         "--out", str(tmp_path / "o")],
+        "invalid JSON",
+    )
+
+
+def test_cli_predict_rejects_malformed_transform(sim_dir, draws_path, tmp_path, capsys):
+    bad = tmp_path / "standardization.json"
+    bad.write_text('{"mean": [0, 0, 0], ')
+    _fails_with_one_line(
+        capsys,
+        ["predict", draws_path, str(sim_dir / "dataset.csv"), "--scale", "1",
+         "--transform", str(bad), "--out", str(tmp_path / "o")],
+        "invalid JSON",
+    )
+
+
+def test_cli_simulate_rejects_non_object_config(tmp_path, capsys):
+    config = _write_json(tmp_path / "sim.json", [1])
+    _fails_with_one_line(
+        capsys,
+        ["simulate", "--config", config, "--out", str(tmp_path / "o")],
+        "expected a JSON object",
+    )
+
+
+def test_cli_predict_rejects_unordered_thresholds(sim_dir, draws_path, tmp_path, capsys):
+    header, rows = io.read_table(draws_path)
+    lo, hi = header.index("gamma_2_1"), header.index("gamma_2_2")
+    rows[3][lo], rows[3][hi] = rows[3][hi], rows[3][lo]
+    bad = tmp_path / "swapped.csv"
+    io.write_table(str(bad), header, rows)
+    _fails_with_one_line(
+        capsys,
+        ["predict", str(bad), str(sim_dir / "dataset.csv"), "--scale", "2",
+         "--out", str(tmp_path / "o")],
+        "line 5: thresholds of scale 2 are not strictly increasing",
+    )
+    assert not (tmp_path / "o" / "predictions.csv").exists()
+
+
+def test_cli_summarize_rejects_draws_without_rows(draws_path, tmp_path, capsys):
+    bad = tmp_path / "empty.csv"
+    bad.write_text(open(draws_path).readline())
+    _fails_with_one_line(capsys, ["summarize", str(bad)], "no draw rows")
+
+
+def test_cli_predict_rejects_feature_count_mismatch(draws_path, tmp_path, capsys):
+    other = tmp_path / "wide"
+    config = _write_json(tmp_path / "wide.json", {**SIM_CONFIG, "num_features": 4})
+    assert main(["simulate", "--config", config, "--out", str(other)]) == 0
+    _fails_with_one_line(
+        capsys,
+        ["predict", draws_path, str(other / "dataset.csv"), "--scale", "1",
+         "--out", str(tmp_path / "o")],
+        "draws have 3 coefficients, dataset has 4 features",
+    )
+
+
+def test_cli_fit_rejects_asymmetric_prior_precision(sim_dir, tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "fit.json",
+        {**FIT_CONFIG, "prior": {"precision": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}},
+    )
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--config", config,
+         "--out", str(tmp_path / "o")],
+        "not symmetric",
+    )
+
+
+def test_cli_fit_with_three_draws_writes_null_mcse(sim_dir, tmp_path):
+    dataset = str(sim_dir / "dataset.csv")
+    out = tmp_path / "fit"
+    three = _write_json(tmp_path / "three.json", {**FIT_CONFIG, "stored_draws": 3})
+    assert main(["fit", dataset, "--config", three, "--out", str(out)]) == 0
+    summary = json.load(open(out / "fit_summary.json"))
+    assert summary["num_draws"] == 3
+    assert summary["beta"]["mcse"] == [None, None, None]
+    # two chains of two draws pool to four: enough for batch means
+    two = _write_json(tmp_path / "two.json", {**FIT_CONFIG, "stored_draws": 2})
+    argv = ["fit", dataset, "--config", two, "--chains", "2", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.load(open(out / "fit_summary.json"))
+    assert all(isinstance(v, float) for v in summary["beta"]["mcse"])
+
+
+def test_read_draws_rejects_malformed_rows(tmp_path, two_scale_dataset):
+    good = str(tmp_path / "good.csv")
+    io.write_draws(good, _tiny_draws(two_scale_dataset))
+    header, rows = io.read_table(good)
+    cases = {
+        "line 4: empty or non-finite value": rows[:2] + [rows[2][:-1] + [""]],
+        "line 4: expected 8 fields, got 7": rows[:2] + [rows[2][:-1]],
+        "invalid literal": [["x"] + rows[0][1:]],
+    }
+    for message, body in cases.items():
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in [header] + body) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            io.read_draws(str(bad))
+    # a scale's columns must be contiguous and numbered from 1
+    bad.write_text(",".join(header[:-2] + [header[-1], header[-2]]) + "\n")
+    with pytest.raises(ConfigError, match="header must be"):
+        io.read_draws(str(bad))

@@ -5,23 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from msprobit.errors import StratificationError, UndefinedCorrelationError
 from msprobit.metrics import (
     ConfusionMatrix,
-    classify,
+    class_probabilities,
     classify_draws,
     evaluate_splits,
     f1_scores,
     fit_standardizer,
     harmonic_mean,
     kendall_tau_b,
-    predict_class_probs,
-    rank_score,
-    rank_score_draws,
+    latent_scores,
     _stratified_split,
 )
-from msprobit.model import ChainConfig, Dataset, ParamDraw, ScaleSpec
+from msprobit.model import ChainConfig, Dataset, ScaleSpec
 from msprobit.sampler import DrawSet
 from tests.conftest import make_two_scale_dataset
 
@@ -139,10 +138,12 @@ def test_harmonic_mean_hand_cases():
 
 
 def test_predict_class_probs_reference():
-    draw = ParamDraw(beta=np.array([0.7]), gammas=(np.array([-1.0, 1.0]),))
-    probs = predict_class_probs(draw, np.array([0.0]), ScaleSpec(1, 3))
+    probs = class_probabilities(
+        np.array([[0.7]]), np.array([[-1.0, 1.0]]), np.array([[0.0]])
+    )
+    assert probs.shape == (1, 3, 1)
     np.testing.assert_allclose(
-        probs,
+        probs[0, :, 0],
         [0.15865525393145705, 0.68268949213708590, 0.15865525393145705],
         rtol=1e-12,
     )
@@ -150,39 +151,11 @@ def test_predict_class_probs_reference():
 
 
 def test_predict_class_probs_shifts_with_eta():
-    draw = ParamDraw(beta=np.array([1.0]), gammas=(np.array([0.0]),))
-    low = predict_class_probs(draw, np.array([-2.0]), ScaleSpec(1, 2))
-    high = predict_class_probs(draw, np.array([2.0]), ScaleSpec(1, 2))
-    assert low[0] > 0.9 and high[1] > 0.9
-
-
-def test_predict_class_probs_ambiguous_scale_needs_index():
-    draw = ParamDraw(
-        beta=np.array([0.0]), gammas=(np.array([0.0]), np.array([1.0]))
+    probs = class_probabilities(
+        np.array([[1.0]]), np.array([[0.0]]), np.array([[-2.0], [2.0]])
     )
-    with pytest.raises(ValueError, match="gamma_index"):
-        predict_class_probs(draw, np.array([0.0]), ScaleSpec(2, 2))
-    probs = predict_class_probs(draw, np.array([0.0]), ScaleSpec(2, 2), gamma_index=1)
-    assert probs[0] == pytest.approx(0.84134474606854295, rel=1e-12)
-
-
-def test_classify_tie_goes_to_lower_class():
-    draw = ParamDraw(beta=np.array([1.0]), gammas=(np.array([0.0]),))
-    assert classify(draw, np.array([0.0]), ScaleSpec(1, 2)) == 1
-
-
-def test_classify_monotone_in_latent_score():
-    g = np.random.default_rng(9)
-    for _ in range(30):
-        k = int(g.integers(1, 5))
-        gamma = np.sort(g.normal(scale=1.5, size=k))
-        if k > 1 and np.any(np.diff(gamma) <= 0):
-            continue
-        draw = ParamDraw(beta=np.array([1.0]), gammas=(gamma,))
-        scale = ScaleSpec(1, k + 1)
-        etas = np.linspace(-6, 6, 61)
-        labels = [classify(draw, np.array([e]), scale) for e in etas]
-        assert all(b >= a for a, b in zip(labels, labels[1:]))
+    low, high = probs[0, :, 0], probs[1, :, 0]
+    assert low[0] > 0.9 and high[1] > 0.9
 
 
 def _drawset_from(betas, gammas_list, scales):
@@ -198,29 +171,59 @@ def _drawset_from(betas, gammas_list, scales):
     )
 
 
+def test_predict_class_probs_ambiguous_scale_needs_index():
+    # two scales with the same class count: the scale is picked by its id,
+    # never guessed from the threshold count
+    scales = (ScaleSpec(1, 2), ScaleSpec(2, 2))
+    draws = _drawset_from([[0.0]], [[[0.0]], [[1.0]]], scales)
+    X = np.array([[0.0]])
+    first = class_probabilities(draws.beta_draws, draws.gamma_draws_for(1), X)
+    second = class_probabilities(draws.beta_draws, draws.gamma_draws_for(2), X)
+    assert first[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
+    assert second[0, 0, 0] == pytest.approx(0.84134474606854295, rel=1e-12)
+
+
+def test_classify_tie_goes_to_lower_class():
+    pred = classify_draws(np.array([[1.0]]), np.array([[0.0]]), np.array([[0.0]]))
+    assert pred.tolist() == [[1]]
+
+
+def test_classify_monotone_in_latent_score():
+    g = np.random.default_rng(9)
+    for _ in range(30):
+        k = int(g.integers(1, 5))
+        gamma = np.sort(g.normal(scale=1.5, size=k))
+        if k > 1 and np.any(np.diff(gamma) <= 0):
+            continue
+        etas = np.linspace(-6, 6, 61)
+        labels = classify_draws(
+            np.array([[1.0]]), gamma[None, :], etas[:, None]
+        )[:, 0]
+        assert np.all(np.diff(labels) >= 0)
+
+
 def test_classify_draws_matches_pointwise():
     g = np.random.default_rng(77)
-    scales = (ScaleSpec(1, 4),)
     m = 20
     gammas = np.sort(g.normal(size=(m, 3)), axis=1)
     betas = g.normal(size=(m, 2))
-    draws = _drawset_from(betas, [gammas], scales)
     X = g.normal(size=(15, 2))
-    mat = classify_draws(draws.beta_draws, gammas, X, 4)
+    mat = classify_draws(betas, gammas, X)
+    probs = class_probabilities(betas, gammas, X)
     for i in range(15):
         for d in range(m):
-            want = classify(draws[d], X[i], scales[0])
-            assert mat[i, d] == want
+            edges = np.concatenate(([-np.inf], gammas[d], [np.inf]))
+            want = np.diff(norm.cdf(edges - X[i] @ betas[d]))
+            np.testing.assert_allclose(probs[i, :, d], want, rtol=1e-12, atol=1e-15)
+            assert mat[i, d] == np.argmax(want) + 1
 
 
 def test_rank_score_is_posterior_mean_score():
-    scales = (ScaleSpec(1, 2),)
-    draws = _drawset_from(
-        [[1.0, 0.0], [3.0, 0.0]], [np.zeros((2, 1))], scales
-    )
-    x = np.array([2.0, 5.0])
-    assert rank_score(draws, x) == pytest.approx(4.0, rel=1e-15)
-    np.testing.assert_allclose(rank_score_draws(draws, x), [2.0, 6.0])
+    betas = np.array([[1.0, 0.0], [3.0, 0.0]])
+    x = np.array([[2.0, 5.0]])
+    scores = latent_scores(betas, x)
+    np.testing.assert_allclose(scores, [[2.0, 6.0]])
+    assert scores.mean(axis=1)[0] == pytest.approx(4.0, rel=1e-15)
 
 
 def test_fit_standardizer_zero_spread_column():

@@ -114,6 +114,20 @@ def test_prior_broadcasting():
         Prior(precision=-1.0).precision_matrix(2)
 
 
+def test_prior_rejects_asymmetric_precision():
+    with pytest.raises(ConfigError, match="symmetric"):
+        Prior(precision=np.array([[1.0, 0.5], [0.0, 1.0]])).precision_matrix(2)
+
+
+def test_prior_rejects_indefinite_precision():
+    with pytest.raises(ConfigError, match="eigenvalue range"):
+        Prior(precision=np.array([[1.0, 2.0], [2.0, 1.0]])).precision_matrix(2)
+    with pytest.raises(ConfigError, match="non-finite"):
+        Prior(precision=np.array([[1.0, np.nan], [np.nan, 1.0]])).precision_matrix(2)
+    with pytest.raises(ConfigError):
+        Prior(precision=np.inf).precision_matrix(2)
+
+
 def test_chain_config_validation():
     with pytest.raises(ConfigError):
         ChainConfig(burn_in=-1)

@@ -13,14 +13,12 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from msprobit.errors import ConfigError, InitializationError
-from msprobit.model import ChainConfig, Dataset, LatentState, ParamDraw, Prior, ScaleSpec
+from msprobit.model import ChainConfig, Dataset, ParamDraw, Prior, ScaleSpec
 from msprobit.sampler import (
     DrawSet,
-    draw_beta,
-    draw_latents,
+    _GibbsKernel,
     gamma_log_acceptance_ratio,
     mcse_mean,
-    mh_update_gammas,
     run_chain,
     run_chains,
     tune_proposal,
@@ -150,32 +148,36 @@ def test_mh_update_moves_toward_data(two_scale_dataset):
     # with beta fixed at truth-ish values the thresholds should drift toward
     # the label boundaries and keep ordering at every step
     ds = two_scale_dataset.restrict_to_scale(2)
+    kernel = _GibbsKernel(ds, ChainConfig())
     g = np.random.default_rng(5)
-    gamma = np.array([-2.5, 2.5])
-    beta = np.zeros(ds.num_features)
-    latent = LatentState(np.zeros(ds.num_obs))
+    gammas = [np.array([-2.5, 2.5])]
+    eta = np.zeros(ds.num_obs)
     accepted = 0
     for _ in range(400):
-        gamma, acc = mh_update_gammas(
-            ds.scales[0], gamma, latent, ds, beta, 0.4, g
-        )
-        assert gamma[0] < gamma[1]
-        accepted += acc
+        accepted += kernel.update_thresholds(eta, gammas, [0.4], g)[0]
+        assert gammas[0][0] < gammas[0][1]
     assert 0 < accepted < 400
-    assert abs(gamma[0]) < 1.5 and abs(gamma[1]) < 1.5
+    assert abs(gammas[0][0]) < 1.5 and abs(gammas[0][1]) < 1.5
+
+
+def _one_feature_kernel(features, prior):
+    # coefficient block of a single-scale kernel; labels do not enter it
+    n = len(features)
+    ds = Dataset(
+        features=np.asarray(features, dtype=float).reshape(n, 1),
+        labels=1 + np.arange(n) % 2,
+        scale_ids=np.ones(n, dtype=int),
+        scales=(ScaleSpec(1, 2),),
+    )
+    return _GibbsKernel(ds, ChainConfig(prior=prior))
 
 
 def test_draw_beta_hand_computed_posterior(rng):
     # X=[1,2]', y*=[1,2], unit prior: posterior N(5/6, 1/6)
-    ds = Dataset(
-        features=np.array([[1.0], [2.0]]),
-        labels=np.array([1, 2]),
-        scale_ids=np.array([1, 1]),
-        scales=(ScaleSpec(1, 2),),
-    )
-    latent = LatentState(np.array([1.0, 2.0]))
+    kernel = _one_feature_kernel([1.0, 2.0], Prior())
+    y_star = np.array([1.0, 2.0])
     draws = np.array(
-        [draw_beta(latent, ds, Prior(), rng)[0] for _ in range(20_000)]
+        [kernel.draw_coefficients(y_star, rng)[0] for _ in range(20_000)]
     )
     assert draws.mean() == pytest.approx(5.0 / 6.0, abs=0.01)
     assert draws.var() == pytest.approx(1.0 / 6.0, rel=0.05)
@@ -183,44 +185,36 @@ def test_draw_beta_hand_computed_posterior(rng):
 
 def test_draw_beta_flat_prior_hits_sample_mean(rng):
     n = 100
-    ds = Dataset(
-        features=np.ones((n, 1)),
-        labels=np.ones(n, dtype=int),
-        scale_ids=np.ones(n, dtype=int),
-        scales=(ScaleSpec(1, 2),),
-    )
-    latent = LatentState(np.full(n, 3.0))
+    kernel = _one_feature_kernel(np.ones(n), Prior(precision=1e-8))
+    y_star = np.full(n, 3.0)
     draws = np.array(
-        [draw_beta(latent, ds, Prior(precision=1e-8), rng)[0] for _ in range(10_000)]
+        [kernel.draw_coefficients(y_star, rng)[0] for _ in range(10_000)]
     )
     assert draws.mean() == pytest.approx(3.0, abs=0.01)
 
 
 def test_draw_beta_dominating_prior(rng):
-    ds = Dataset(
-        features=np.array([[1.0], [2.0]]),
-        labels=np.array([1, 2]),
-        scale_ids=np.array([1, 1]),
-        scales=(ScaleSpec(1, 2),),
-    )
-    latent = LatentState(np.array([5.0, 5.0]))
+    kernel = _one_feature_kernel([1.0, 2.0], Prior(precision=1e12))
+    y_star = np.array([5.0, 5.0])
     for _ in range(50):
-        b = draw_beta(latent, ds, Prior(precision=1e12), rng)
+        b = kernel.draw_coefficients(y_star, rng)
         assert abs(b[0]) < 1e-4
 
 
 def test_draw_latents_respects_intervals(two_scale_dataset, rng):
-    ds = two_scale_dataset
-    params = ParamDraw(
-        beta=np.array([0.3, -0.2, 0.1]),
-        gammas=(np.array([0.0]), np.array([-0.7, 0.7])),
-    )
-    latent = draw_latents(params, ds, rng)
-    y = latent.y_star
+    # rows of the two scales interleaved, so each row's edge index matters
+    order = np.random.default_rng(8).permutation(two_scale_dataset.num_obs)
+    ds = two_scale_dataset.subset(order)
+    kernel = _GibbsKernel(ds, ChainConfig())
+    beta = np.array([0.3, -0.2, 0.1])
+    gammas = [np.array([0.0]), np.array([-0.7, 0.7])]
+    y, lowers, uppers = kernel.draw_latents(ds.features @ beta, gammas, rng)
     for k, s in enumerate(ds.scales):
         rows = ds.rows_for_scale(s.scale_id)
-        edges = np.concatenate(([-np.inf], params.gammas[k], [np.inf]))
+        edges = np.concatenate(([-np.inf], gammas[k], [np.inf]))
         labels = ds.labels[rows]
+        np.testing.assert_array_equal(lowers[rows], edges[labels - 1])
+        np.testing.assert_array_equal(uppers[rows], edges[labels])
         assert np.all(y[rows] > edges[labels - 1])
         assert np.all(y[rows] < edges[labels])
 
