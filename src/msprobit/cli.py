@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed_arg(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _default_scales_path(dataset_path: str) -> str:
     root, _ = os.path.splitext(dataset_path)
     return root + ".scales.json"
@@ -91,6 +98,43 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+_DESIGN_KEYS = (
+    "num_scales",
+    "obs_per_scale",
+    "num_features",
+    "num_thresholds",
+    "min_per_class",
+)
+
+
+def _design(doc: dict, command: str) -> dict:
+    """The simulation design of a simulate or experiment config, every count
+    checked to be an integer. num_thresholds is one count for all scales or
+    a per-scale list; min_per_class defaults to 1."""
+    missing = [k for k in _DESIGN_KEYS if k not in doc and k != "min_per_class"]
+    if missing:
+        raise ConfigError(f"{command} config is missing key {missing[0]!r}")
+    design = {
+        key: io.config_number(doc.get(key, 1), key, integer=True)
+        for key in _DESIGN_KEYS
+        if key != "num_thresholds"
+    }
+    thresholds = doc["num_thresholds"]
+    if isinstance(thresholds, (list, tuple)):
+        design["num_thresholds"] = tuple(
+            io.config_number(t, "num_thresholds", integer=True) for t in thresholds
+        )
+    else:
+        design["num_thresholds"] = (
+            io.config_number(thresholds, "num_thresholds", integer=True),
+        ) * design["num_scales"]
+    return design
+
+
+def _config_seed(doc: dict) -> int:
+    return io.config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
+
+
 # -- simulate --------------------------------------------------------------
 
 
@@ -106,29 +150,19 @@ def cmd_simulate(args):
     elif not args.config:
         raise ConfigError("simulate needs --preset or --config")
 
-    allowed = {
-        "num_scales",
-        "obs_per_scale",
-        "num_features",
-        "num_thresholds",
-        "min_per_class",
-        "seed",
-    }
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(_DESIGN_KEYS) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown simulate config key(s): {', '.join(unknown)}")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    try:
-        sim = simulate_dataset(
-            int(doc["num_scales"]),
-            int(doc["obs_per_scale"]),
-            int(doc["num_features"]),
-            tuple(int(t) for t in doc["num_thresholds"]),
-            int(doc.get("min_per_class", 1)),
-            np.random.default_rng(np.random.SeedSequence(seed)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulate config is missing key {exc}") from None
+    design = _design(doc, "simulate")
+    seed = args.seed if args.seed is not None else _config_seed(doc)
+    sim = simulate_dataset(
+        design["num_scales"],
+        design["obs_per_scale"],
+        design["num_features"],
+        design["num_thresholds"],
+        design["min_per_class"],
+        np.random.default_rng(np.random.SeedSequence(seed)),
+    )
 
     dataset = sim.pooled_dataset()
     io.write_dataset(
@@ -260,8 +294,8 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     dataset = _load_dataset(args)
     doc = _config_doc(args)
-    fraction = doc.pop("split_fraction", 2.0 / 3.0)
-    splits = doc.pop("num_splits", 10)
+    fraction = io.config_number(doc.pop("split_fraction", 2.0 / 3.0), "split_fraction")
+    splits = io.config_number(doc.pop("num_splits", 10), "num_splits", integer=True)
     if args.fraction is not None:
         fraction = args.fraction
     if args.splits is not None:
@@ -270,8 +304,8 @@ def cmd_evaluate(args):
 
     report = evaluate_splits(
         dataset,
-        float(fraction),
-        int(splits),
+        fraction,
+        splits,
         config,
         np.random.default_rng(np.random.SeedSequence(int(config.seed))),
         num_chains=num_chains,
@@ -289,39 +323,25 @@ def cmd_evaluate(args):
 
 
 def _experiment_config(doc: dict, seed_override) -> ExperimentConfig:
-    allowed = {
-        "replications",
-        "num_scales",
-        "obs_per_scale",
-        "num_features",
-        "num_thresholds",
-        "min_per_class",
-        "num_chains",
-        "seed",
-        "chain",
-    }
+    allowed = set(_DESIGN_KEYS) | {"replications", "num_chains", "seed", "chain"}
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
+    if "replications" not in doc:
+        raise ConfigError("experiment config is missing key 'replications'")
     chain_doc = doc.get("chain", {})
     if not isinstance(chain_doc, dict):
         raise ConfigError("chain must be an object")
     chain_config, chain_nc = io.chain_config_from_dict(chain_doc)
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
-    try:
-        return ExperimentConfig(
-            replications=int(doc["replications"]),
-            num_scales=int(doc["num_scales"]),
-            obs_per_scale=int(doc["obs_per_scale"]),
-            num_features=int(doc["num_features"]),
-            num_thresholds=tuple(int(t) for t in doc["num_thresholds"]),
-            min_per_class=int(doc.get("min_per_class", 1)),
-            chain_config=chain_config,
-            num_chains=int(doc.get("num_chains", chain_nc)),
-            seed=int(seed),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"experiment config is missing key {exc}") from None
+    return ExperimentConfig(
+        replications=io.config_number(doc["replications"], "replications", integer=True),
+        **_design(doc, "experiment"),
+        chain_config=chain_config,
+        num_chains=io.config_number(
+            doc.get("num_chains", chain_nc), "num_chains", integer=True, minimum=1
+        ),
+        seed=seed_override if seed_override is not None else _config_seed(doc),
+    )
 
 
 def cmd_experiment(args):
@@ -410,7 +430,9 @@ def build_parser() -> _Parser:
         if preset:
             p.add_argument("--preset", default=None, help="named configuration")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="random seed override")
+        p.add_argument(
+            "--seed", type=_seed_arg, default=None, help="random seed override"
+        )
         if chain:
             p.add_argument("--chains", type=int, default=None, help="chain count")
         p.add_argument("--out", default=".", help="output directory")

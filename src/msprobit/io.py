@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from typing import Iterable
@@ -54,6 +55,31 @@ def read_json_object(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return doc
+
+
+def config_number(value, key: str, *, integer: bool = False, minimum=None):
+    """A JSON config value as a finite float, or as an int with integer=True,
+    of at least minimum; a ConfigError naming key otherwise.
+
+    Strings and booleans are rejected rather than coerced, and so is a count
+    with a fractional part such as 1.5.
+    """
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            as_float = float(value)
+        except OverflowError:  # an int beyond the float range
+            as_float = math.inf
+        if integer and (isinstance(value, int) or as_float.is_integer()):
+            number = int(value)
+        elif not integer and math.isfinite(as_float):
+            number = as_float
+    if number is None:
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {number}")
+    return number
 
 
 # -- dataset ---------------------------------------------------------------
@@ -279,29 +305,46 @@ def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
     bad = sorted(set(prior_doc) - {"mean", "precision"})
     if bad:
         raise ConfigError(f"unknown prior key(s): {', '.join(bad)}")
+    for key, value in prior_doc.items():
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+            raise ConfigError(
+                f"prior {key} must be a number or an array of numbers, "
+                f"got {json.dumps(value)}"
+            )
     prior = Prior(
         mean=prior_doc.get("mean", 0.0),
         precision=prior_doc.get("precision", 1.0),
     )
     proposal_sd = doc.get("proposal_sd", 0.5)
     if isinstance(proposal_sd, dict):
-        proposal_sd = {int(k): float(v) for k, v in proposal_sd.items()}
+        try:
+            proposal_sd = {
+                int(k): config_number(v, f"proposal_sd {k}")
+                for k, v in proposal_sd.items()
+            }
+        except ValueError:
+            raise ConfigError(
+                f"proposal_sd keys must be scale ids, got {sorted(proposal_sd)}"
+            ) from None
     else:
-        proposal_sd = float(proposal_sd)
-    try:
-        config = ChainConfig(
-            prior=prior,
-            proposal_sd=proposal_sd,
-            burn_in=int(doc.get("burn_in", 50_000)),
-            thinning=int(doc.get("thinning", 100)),
-            stored_draws=int(doc.get("stored_draws", 500)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad chain config: {exc}") from None
-    num_chains = int(doc.get("num_chains", 1))
-    if num_chains < 1:
-        raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
+        proposal_sd = config_number(proposal_sd, "proposal_sd")
+    config = ChainConfig(
+        prior=prior,
+        proposal_sd=proposal_sd,
+        burn_in=config_number(doc.get("burn_in", 50_000), "burn_in", integer=True),
+        thinning=config_number(doc.get("thinning", 100), "thinning", integer=True),
+        stored_draws=config_number(
+            doc.get("stored_draws", 500), "stored_draws", integer=True
+        ),
+        seed=config_number(doc.get("seed", 0), "seed", integer=True, minimum=0),
+    )
+    num_chains = config_number(
+        doc.get("num_chains", 1), "num_chains", integer=True, minimum=1
+    )
     return config, num_chains
 
 

@@ -1,14 +1,16 @@
 """Classification and ranking metrics, posterior prediction, and the
 train/test split evaluation protocol.
 
-Metrics are computed once per posterior draw, so every reported quantity
-is a distribution over draws rather than a single number.
+Metrics are computed per posterior draw, so every reported quantity is a
+distribution over draws rather than a single number; each metric is
+computed for all draws at once, from an (n, M) matrix of per-draw
+predictions or scores.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr
@@ -18,6 +20,28 @@ from .model import ChainConfig, Dataset, ScaleSpec
 from .sampler import DrawSet, run_chains
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
+
+
+def confusion_counts(pred, actual, num_classes: int) -> np.ndarray:
+    """Confusion counts of every column of pred (n, M) against one actual
+    vector (n,), shape (M, C, C): draw, actual class, predicted class.
+
+    All M matrices come from one bincount over (draw, actual, predicted).
+    """
+    pred = np.asarray(pred, dtype=int)
+    actual = np.asarray(actual, dtype=int)
+    if pred.ndim != 2 or actual.ndim != 1 or pred.shape[0] != actual.size:
+        raise ValueError("pred and actual must be equal-length vectors")
+    if actual.size == 0:
+        raise ValueError("empty label vectors")
+    for name, v in (("pred", pred), ("actual", actual)):
+        if np.any((v < 1) | (v > num_classes)):
+            raise ValueError(f"{name} labels outside 1..{num_classes}")
+    m = pred.shape[1]
+    draw = np.arange(m)
+    cells = (draw * num_classes + actual[:, None] - 1) * num_classes + pred - 1
+    flat = np.bincount(cells.ravel(), minlength=m * num_classes**2)
+    return flat.reshape(m, num_classes, num_classes)
 
 
 @dataclass(frozen=True)
@@ -41,18 +65,9 @@ class ConfusionMatrix:
     @staticmethod
     def from_labels(pred, actual, num_classes: int) -> "ConfusionMatrix":
         pred = np.asarray(pred, dtype=int)
-        actual = np.asarray(actual, dtype=int)
-        if pred.shape != actual.shape or pred.ndim != 1:
+        if pred.ndim != 1:
             raise ValueError("pred and actual must be equal-length vectors")
-        if pred.size == 0:
-            raise ValueError("empty label vectors")
-        for name, v in (("pred", pred), ("actual", actual)):
-            if np.any((v < 1) | (v > num_classes)):
-                raise ValueError(f"{name} labels outside 1..{num_classes}")
-        flat = np.bincount(
-            (actual - 1) * num_classes + (pred - 1), minlength=num_classes**2
-        )
-        return ConfusionMatrix(flat.reshape(num_classes, num_classes))
+        return ConfusionMatrix(confusion_counts(pred[:, None], actual, num_classes)[0])
 
 
 @dataclass(frozen=True)
@@ -70,6 +85,23 @@ class F1Result:
     confusion: ConfusionMatrix
 
 
+def f1_from_counts(counts: np.ndarray):
+    """Per-class F1 (M, C), macro F1 (M,) and the degenerate flags (M, C) of
+    a stack of confusion matrices (M, C, C), under the zero-for-degenerate
+    convention of f1_scores."""
+    tp = np.diagonal(counts, axis1=1, axis2=2).astype(float)
+    pred_totals = counts.sum(axis=1).astype(float)
+    actual_totals = counts.sum(axis=2).astype(float)
+    degenerate = (pred_totals == 0) | (actual_totals == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(pred_totals > 0, tp / pred_totals, 0.0)
+        recall = np.where(actual_totals > 0, tp / actual_totals, 0.0)
+        denom = precision + recall
+        f1 = np.where(denom > 0, 2.0 * precision * recall / denom, 0.0)
+    f1 = np.where(degenerate, 0.0, f1)
+    return f1, f1.mean(axis=1), degenerate
+
+
 def f1_scores(pred, actual, num_classes: int) -> F1Result:
     """Per-class and macro F1 under the zero-for-degenerate convention.
 
@@ -78,70 +110,105 @@ def f1_scores(pred, actual, num_classes: int) -> F1Result:
     classes.
     """
     cm = ConfusionMatrix.from_labels(pred, actual, num_classes)
-    counts = cm.counts
-    tp = np.diag(counts).astype(float)
-    pred_totals = counts.sum(axis=0).astype(float)
-    actual_totals = counts.sum(axis=1).astype(float)
-    degenerate = (pred_totals == 0) | (actual_totals == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(pred_totals > 0, tp / pred_totals, 0.0)
-        recall = np.where(actual_totals > 0, tp / actual_totals, 0.0)
-        denom = precision + recall
-        f1 = np.where(denom > 0, 2.0 * precision * recall / denom, 0.0)
-    f1 = np.where(degenerate, 0.0, f1)
+    per_class, macro, degenerate = f1_from_counts(cm.counts[None])
     return F1Result(
-        per_class=f1,
-        macro=float(f1.mean()),
-        degenerate=degenerate,
+        per_class=per_class[0],
+        macro=float(macro[0]),
+        degenerate=degenerate[0],
         confusion=cm,
     )
 
 
-def kendall_tau_b(a, b) -> float:
-    """Tie-adjusted rank correlation from exact all-pairs counts.
+def kendall_tau_b_columns(scores, labels) -> np.ndarray:
+    """Tau-b of every column of scores (n, M) against one label vector (n,),
+    shape (M,), NaN where it is undefined: fewer than 2 rows, all labels
+    tied, or all scores of the column tied.
 
-    (concordant - discordant) / sqrt((n0 - ties_a)(n0 - ties_b)) with n0
-    the number of pairs; counts are accumulated exactly, so the result is
-    bit-identical to a brute-force pair enumeration.
+    Pair counts are exact int64 sums, so each value is bit-identical to a
+    brute-force pair enumeration, in O(n log n + C n) per column for C
+    distinct labels: one stable sort per column finds the runs of tied
+    scores, and one cumulative count per label value gives, at every row,
+    the rows of that label scored strictly below and strictly above it.
     """
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).reshape(-1)
+    if scores.ndim != 2 or scores.shape[0] != labels.size:
+        raise ValueError(
+            f"length mismatch: scores {scores.shape} vs labels {labels.shape}"
+        )
+    if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(labels))):
+        raise ValueError("inputs must be finite")
+    n, m = scores.shape
+    tau = np.full(m, np.nan)
+    values, codes = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(codes)
+    n0 = n * (n - 1) // 2
+    n2 = int((sizes * (sizes - 1) // 2).sum())
+    if n0 == n2:
+        return tau
+
+    order = np.argsort(scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    ranked_codes = codes[order]
+    pos = np.arange(n)[:, None]
+    first = np.ones((n, m), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    last = np.ones((n, m), dtype=bool)
+    last[:-1] = first[1:]
+    run_start = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    run_end = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+    n1 = (pos - run_start).sum(axis=0, dtype=np.int64)
+
+    # below[k] counts the rows of label value c among the k lowest-ranked.
+    # Read at a row's run start it counts those scored strictly lower, read
+    # one past its run end those scored no higher. Against a row with a
+    # larger label the former pairs are concordant, the rest discordant.
+    net = np.zeros(m, dtype=np.int64)
+    below = np.zeros((n + 1, m), dtype=np.int64)
+    for c in range(values.size - 1):
+        np.cumsum(ranked_codes == c, axis=0, out=below[1:])
+        lower = np.take_along_axis(below, run_start, axis=0)
+        higher = sizes[c] - np.take_along_axis(below, run_end + 1, axis=0)
+        net += np.where(ranked_codes > c, lower - higher, 0).sum(axis=0)
+
+    defined = n1 < n0
+    # Python ints, so the product is exact at any n, as in the pair loop.
+    pairs = (n0 - n1[defined]).astype(object) * (n0 - n2)
+    tau[defined] = net[defined] / np.sqrt(pairs.astype(float))
+    return tau
+
+
+def kendall_tau_b(a, b) -> float:
+    """Tie-adjusted rank correlation of two vectors:
+    (concordant - discordant) / sqrt((n0 - ties_a)(n0 - ties_b)) with n0 the
+    number of pairs; the one-column case of kendall_tau_b_columns, raising
+    UndefinedCorrelationError where that gives NaN."""
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         raise ValueError("need at least 2 observations")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("inputs must be finite")
-
-    nc = nd = n1 = n2 = 0
-    for i in range(n - 1):
-        da = np.sign(a[i + 1 :] - a[i])
-        db = np.sign(b[i + 1 :] - b[i])
-        prod = da * db
-        nc += int(np.count_nonzero(prod > 0))
-        nd += int(np.count_nonzero(prod < 0))
-        n1 += int(np.count_nonzero(da == 0))
-        n2 += int(np.count_nonzero(db == 0))
-
-    n0 = n * (n - 1) // 2
-    if n0 == n1 or n0 == n2:
-        which = "first" if n0 == n1 else "second"
+    tau = kendall_tau_b_columns(a[:, None], b)[0]
+    if np.isnan(tau):
+        which = "first" if a.min() == a.max() else "second"
         raise UndefinedCorrelationError(
             f"all values tied in the {which} vector; tau_b undefined"
         )
-    return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
+    return float(tau)
 
 
-def harmonic_mean(a: float, b: float) -> float:
-    """2ab/(a+b) for nonnegative inputs, 0 when both are 0."""
-    a = float(a)
-    b = float(b)
-    if a < 0 or b < 0:
+def harmonic_mean(a, b):
+    """2ab/(a+b) elementwise for nonnegative inputs, 0 where both are 0 and
+    NaN where either is NaN; a float for scalar inputs."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
         raise ValueError(f"harmonic_mean requires nonnegative inputs, got ({a}, {b})")
-    if a + b == 0:
-        return 0.0
-    return 2.0 * a * b / (a + b)
+    total = a + b
+    with np.errstate(invalid="ignore"):
+        h = np.where(total == 0, 0.0, 2.0 * a * b / total)
+    return float(h) if h.ndim == 0 else h
 
 
 def _nanmean(vec: np.ndarray) -> float:
@@ -232,8 +299,10 @@ def _side_metric_rows(
 ):
     """Per-draw metric rows for one (model, scale, side) cell.
 
-    An empty side yields NaN for every metric so report shapes stay exact.
-    Returns the rows plus the per-draw headline vectors for aggregation.
+    Every metric is computed for all draws at once. An empty side yields NaN
+    for every metric so report shapes stay exact; tau_b and harmonic are NaN
+    in a draw where tau_b is undefined. Returns the rows plus the per-draw
+    headline vectors for aggregation.
     """
     m = len(drawset)
     names = list(HEADLINE_METRICS) + [
@@ -244,32 +313,26 @@ def _side_metric_rows(
     else:
         gamma_draws = drawset.gamma_draws_for(scale.scale_id)
         pred = classify_draws(drawset.beta_draws, gamma_draws, X)
-        scores = latent_scores(drawset.beta_draws, X)
-        f1_macro = np.empty(m)
-        f1_class = np.empty((m, scale.num_classes))
-        tau = np.empty(m)
-        harm = np.empty(m)
-        all_tied = labels.min() == labels.max()
-        for d in range(m):
-            res = f1_scores(pred[:, d], labels, scale.num_classes)
-            f1_macro[d] = res.macro
-            f1_class[d] = res.per_class
-            if all_tied or labels.size < 2:
-                tau[d] = np.nan
-                harm[d] = np.nan
-            else:
-                tau[d] = kendall_tau_b(scores[:, d], labels)
-                harm[d] = harmonic_mean(f1_macro[d], max(tau[d], 0.0))
+        f1_class, f1_macro, _ = f1_from_counts(
+            confusion_counts(pred, labels, scale.num_classes)
+        )
+        tau = kendall_tau_b_columns(latent_scores(drawset.beta_draws, X), labels)
+        harm = harmonic_mean(f1_macro, np.where(tau < 0, 0.0, tau))
         values = {"f1_macro": f1_macro, "tau_b": tau, "harmonic": harm}
         for c in range(scale.num_classes):
             values[f"f1_class_{c + 1}"] = f1_class[:, c]
 
     rows = []
     for name in names:
-        vec = values[name]
         rows.extend(
-            (split_id, model, scale.scale_id, f"{name}_{side}", d, float(vec[d]))
-            for d in range(m)
+            zip(
+                repeat(split_id),
+                repeat(model),
+                repeat(scale.scale_id),
+                repeat(f"{name}_{side}"),
+                range(m),
+                values[name].tolist(),
+            )
         )
     headline = {name: values[name] for name in HEADLINE_METRICS}
     return rows, headline

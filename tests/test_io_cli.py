@@ -5,8 +5,14 @@ import json
 import math
 import os
 
+import contextlib
+import io as stdio
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from msprobit import io
@@ -497,3 +503,178 @@ def test_read_draws_rejects_malformed_rows(tmp_path, two_scale_dataset):
     bad.write_text(",".join(header[:-2] + [header[-1], header[-2]]) + "\n")
     with pytest.raises(ConfigError, match="header must be"):
         io.read_draws(str(bad))
+
+
+def test_cli_evaluate_with_tied_scores_reports_nan_tau(tmp_path):
+    # constant features give every row of a side the same latent score
+    # under every draw, so tau-b is undefined there
+    lines = ["scale_id,label,f1"]
+    for scale, classes in ((1, 2), (2, 3)):
+        lines += [f"{scale},{1 + i % classes},1" for i in range(12)]
+    (tmp_path / "flat.csv").write_text("\n".join(lines) + "\n")
+    _write_json(tmp_path / "flat.scales.json", {"scales": {"1": 2, "2": 3}})
+    config = _write_json(
+        tmp_path / "ev.json",
+        {"burn_in": 10, "thinning": 1, "stored_draws": 5, "seed": 3, "num_splits": 1},
+    )
+    out = tmp_path / "ev"
+    assert main(["evaluate", str(tmp_path / "flat.csv"), "--config", config,
+                 "--out", str(out)]) == 0
+    _, long_rows = io.read_table(str(out / "eval_long.csv"))
+    undefined = [r for r in long_rows if r[3].startswith(("tau_b_", "harmonic_"))]
+    assert len(undefined) == 2 * 2 * 2 * 2 * 5
+    assert all(r[5] == "" for r in undefined)
+    assert all(r[5] != "" for r in long_rows if r[3].startswith("f1_"))
+    _, diff_rows = io.read_table(str(out / "eval_diff.csv"))
+    for row in diff_rows:
+        empty = row[2].startswith(("tau_b_", "harmonic_"))
+        assert (row[3:] == ["", "", ""]) == empty, row
+
+
+def test_cli_simulate_broadcasts_one_threshold_count(tmp_path):
+    config = _write_json(tmp_path / "sim.json", {**SIM_CONFIG, "num_thresholds": 3})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    ds = io.read_dataset(str(out / "dataset.csv"), str(out / "dataset.scales.json"))
+    assert [s.num_classes for s in ds.scales] == [4, 4]
+
+
+def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "exp.json",
+        {**SIM_CONFIG, "num_thresholds": "a", "replications": 1, "chain": FIT_CONFIG},
+    )
+    _fails_with_one_line(
+        capsys,
+        ["experiment", "--config", config, "--out", str(tmp_path / "o")],
+        'num_thresholds must be an integer, got "a"',
+    )
+
+
+def test_cli_fit_rejects_non_integer_chain_count(sim_dir, tmp_path, capsys):
+    config = _write_json(tmp_path / "fit.json", {**FIT_CONFIG, "num_chains": "x"})
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--config", config,
+         "--out", str(tmp_path / "o")],
+        'num_chains must be an integer, got "x"',
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("split_fraction", "abc", 'split_fraction must be a number, got "abc"'),
+        ("num_splits", 1.5, "num_splits must be an integer, got 1.5"),
+    ],
+)
+def test_cli_evaluate_rejects_wrong_typed_split_settings(
+    sim_dir, tmp_path, capsys, key, value, match
+):
+    config = _write_json(tmp_path / "ev.json", {**FIT_CONFIG, key: value})
+    _fails_with_one_line(
+        capsys,
+        ["evaluate", str(sim_dir / "dataset.csv"), "--config", config,
+         "--out", str(tmp_path / "o")],
+        match,
+    )
+
+
+def test_cli_rejects_negative_seed(sim_dir, tmp_path, capsys):
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--seed", "-1",
+         "--out", str(tmp_path / "o")],
+        "seed must be >= 0, got -1",
+    )
+
+
+def test_config_number_conversions():
+    assert io.config_number(2, "k", integer=True) == 2
+    assert io.config_number(2.0, "k", integer=True) == 2
+    assert io.config_number(3, "x") == 3.0
+    for bad in ("2", True, None, [2], 1.5, float("inf")):
+        with pytest.raises(ConfigError, match="^k must be an integer"):
+            io.config_number(bad, "k", integer=True)
+    for bad in ("0.5", False, None, {}, float("nan"), 10**400):
+        with pytest.raises(ConfigError, match="^x must be a number"):
+            io.config_number(bad, "x")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        io.config_number(-3, "seed", integer=True, minimum=0)
+
+
+# Wrong-typed values: no string, boolean, null, list of strings or object
+# of strings is a valid number, and a count must not have a fraction.
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.text(max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.text(max_size=2), min_size=1, max_size=2),
+)
+_NOT_A_COUNT = st.one_of(
+    _NOT_A_NUMBER,
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: not x.is_integer()
+    ),
+)
+_CHAIN_NUMBERS = [
+    (("burn_in",), _NOT_A_COUNT),
+    (("thinning",), _NOT_A_COUNT),
+    (("stored_draws",), _NOT_A_COUNT),
+    (("seed",), _NOT_A_COUNT),
+    (("num_chains",), _NOT_A_COUNT),
+    (("proposal_sd",), _NOT_A_NUMBER),
+    (("prior", "mean"), _NOT_A_NUMBER),
+    (("prior", "precision"), _NOT_A_NUMBER),
+]
+_DESIGN_NUMBERS = [
+    ((key,), _NOT_A_COUNT)
+    for key in ("num_scales", "obs_per_scale", "num_features", "num_thresholds",
+                "min_per_class", "seed")
+]
+_CONFIG_CASES = (
+    [("simulate", path, values) for path, values in _DESIGN_NUMBERS]
+    + [("fit", path, values) for path, values in _CHAIN_NUMBERS]
+    + [("evaluate", path, values) for path, values in _CHAIN_NUMBERS]
+    + [("evaluate", ("split_fraction",), _NOT_A_NUMBER),
+       ("evaluate", ("num_splits",), _NOT_A_COUNT)]
+    + [("experiment", path, values)
+       for path, values in _DESIGN_NUMBERS + [(("replications",), _NOT_A_COUNT),
+                                              (("num_chains",), _NOT_A_COUNT)]]
+    + [("experiment", ("chain",) + path, values) for path, values in _CHAIN_NUMBERS]
+)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    config = _write_json(out / "sim.json", SIM_CONFIG)
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    return str(out / "dataset.csv")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(_CONFIG_CASES), data=st.data())
+def test_cli_wrong_typed_config_values_fail_cleanly(small_dataset, case, data):
+    command, path, values = case
+    chain = {**FIT_CONFIG, "prior": {"mean": 0.0, "precision": 1.0}, "num_chains": 1}
+    doc = {
+        "simulate": SIM_CONFIG,
+        "fit": chain,
+        "evaluate": {**chain, "split_fraction": 0.6, "num_splits": 1},
+        "experiment": {**SIM_CONFIG, "replications": 1, "num_chains": 1, "chain": chain},
+    }[command]
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _write_json(os.path.join(tmp, "config.json"), doc)
+        argv = [command] + ([small_dataset] if command in ("fit", "evaluate") else [])
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            code = main(argv + ["--config", config, "--out", os.path.join(tmp, "out")])
+    assert code in (1, 2, 3), (command, path, doc)
+    assert err.getvalue().startswith("error: "), err.getvalue()

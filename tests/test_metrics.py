@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from msprobit.errors import StratificationError, UndefinedCorrelationError
@@ -12,11 +15,14 @@ from msprobit.metrics import (
     ConfusionMatrix,
     class_probabilities,
     classify_draws,
+    confusion_counts,
     evaluate_splits,
+    f1_from_counts,
     f1_scores,
     fit_standardizer,
     harmonic_mean,
     kendall_tau_b,
+    kendall_tau_b_columns,
     latent_scores,
     _stratified_split,
 )
@@ -128,6 +134,54 @@ def test_kendall_hand_cases():
         kendall_tau_b([1, 1, 1], [1, 2, 3])
 
 
+@st.composite
+def _tie_heavy_cell(draw):
+    """Integer scores (n, M) on a few levels, labels on up to C values and
+    predictions in 1..C; some columns, or all labels, tied by construction."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 5))
+    c = draw(st.integers(2, 6))
+    levels = draw(st.integers(1, 5))
+    scores = draw(arrays(np.int64, (n, m), elements=st.integers(0, levels - 1)))
+    scores = scores.astype(float)
+    tied = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    scores[:, tied] = draw(st.integers(-3, 3))
+    label_values = draw(st.integers(1, c))
+    labels = draw(arrays(np.int64, n, elements=st.integers(1, label_values)))
+    pred = draw(arrays(np.int64, (n, m), elements=st.integers(1, c)))
+    return scores, labels, pred, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tie_heavy_cell())
+def test_batched_metrics_match_oracles_column_by_column(cell):
+    scores, labels, pred, c = cell
+    tau = kendall_tau_b_columns(scores, labels)
+    per_class, macro, _ = f1_from_counts(confusion_counts(pred, labels, c))
+    assert tau.shape == macro.shape == (scores.shape[1],)
+    for d in range(scores.shape[1]):
+        want = oracle_tau_b(scores[:, d].tolist(), labels.tolist())
+        if want is None:
+            assert math.isnan(tau[d])
+        else:
+            assert tau[d] == want
+        want_per_class, want_macro = oracle_f1(pred[:, d].tolist(), labels.tolist(), c)
+        assert per_class[d].tolist() == want_per_class
+        assert macro[d] == want_macro
+
+
+def test_batched_tau_is_nan_for_tied_scores_and_labels():
+    scores = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 1.0]])
+    tau = kendall_tau_b_columns(scores, [1, 2, 3])
+    assert math.isnan(tau[0]) and tau[1] == oracle_tau_b([2.0, 3.0, 1.0], [1, 2, 3])
+    assert np.isnan(kendall_tau_b_columns(scores, [2, 2, 2])).all()
+    assert np.isnan(kendall_tau_b_columns(scores[:1], [1])).all()
+    with pytest.raises(ValueError, match="finite"):
+        kendall_tau_b_columns([[np.inf], [0.0]], [1, 2])
+    with pytest.raises(ValueError, match="length mismatch"):
+        kendall_tau_b_columns(scores, [1, 2])
+
+
 def test_harmonic_mean_hand_cases():
     assert harmonic_mean(0.5, 0.5) == 0.5
     assert harmonic_mean(1.0, 0.0) == 0.0
@@ -135,6 +189,9 @@ def test_harmonic_mean_hand_cases():
     assert harmonic_mean(0.2, 0.8) == pytest.approx(0.32, rel=1e-15)
     with pytest.raises(ValueError):
         harmonic_mean(-0.1, 0.5)
+    got = harmonic_mean(np.array([0.5, 0.0, 0.2, 0.3]), np.array([0.5, 0.0, 0.8, np.nan]))
+    assert got[:3].tolist() == [harmonic_mean(0.5, 0.5), 0.0, harmonic_mean(0.2, 0.8)]
+    assert math.isnan(got[3])
 
 
 def test_predict_class_probs_reference():
