@@ -50,23 +50,8 @@ class Interval:
         object.__setattr__(self, "upper", upper)
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF.
-
-    Accepts a finite scalar or an array of finite values. Saturates to
-    exactly 1.0 in the far upper tail (x >= 40) and 0.0 symmetrically.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("std_normal_cdf requires finite input")
-    out = ndtr(arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def std_normal_quantile(p):
-    """Inverse of ``std_normal_cdf`` on the open interval (0, 1).
+    """Inverse of the standard normal CDF on the open interval (0, 1).
 
     Stays finite for probabilities as small as 1e-300.
     """

@@ -274,18 +274,6 @@ class EvaluationReport:
     long_rows: list[tuple]
     diff_rows: list[tuple]
     num_splits: int
-    scales: tuple[ScaleSpec, ...]
-    draws_per_fit: int
-
-    def expected_long_rows(self) -> int:
-        per_split = sum(
-            2 * 2 * (len(HEADLINE_METRICS) + s.num_classes) * self.draws_per_fit
-            for s in self.scales
-        )
-        return self.num_splits * per_split
-
-    def expected_diff_rows(self) -> int:
-        return self.num_splits * len(self.scales) * 2 * len(HEADLINE_METRICS)
 
 
 def _side_metric_rows(
@@ -404,7 +392,6 @@ def evaluate_splits(
 
     long_rows: list[tuple] = []
     diff_rows: list[tuple] = []
-    draws_per_fit = int(chain_config.stored_draws) * int(num_chains)
 
     for split_id in range(1, int(num_splits) + 1):
         train_rows, test_rows = _stratified_split(dataset, split_fraction, rng)
@@ -464,6 +451,4 @@ def evaluate_splits(
         long_rows=long_rows,
         diff_rows=diff_rows,
         num_splits=int(num_splits),
-        scales=dataset.scales,
-        draws_per_fit=draws_per_fit,
     )

@@ -1,5 +1,5 @@
-"""Domain types: datasets on multiple ordinal scales, parameters, priors,
-and sampler configuration.
+"""Domain types: datasets on multiple ordinal scales, priors, and sampler
+configuration.
 
 All types are immutable value objects once constructed. Labels are 1-based
 everywhere they cross an API boundary. Threshold vectors use the open
@@ -97,30 +97,6 @@ class Dataset:
             scale_ids=self.scale_ids[rows],
             scales=self.scales,
         )
-
-
-@dataclass(frozen=True)
-class ParamDraw:
-    """One sampler state: shared coefficients plus per-scale thresholds.
-
-    gammas[k] belongs to scales[k] of the dataset that produced the draw and
-    has length num_classes - 1. Strict threshold ordering is enforced at
-    construction; nothing in the package can emit an unordered draw.
-    """
-
-    beta: np.ndarray
-    gammas: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        gammas = tuple(np.asarray(g, dtype=float) for g in self.gammas)
-        for k, g in enumerate(gammas):
-            if g.size > 1 and not np.all(np.diff(g) > 0):
-                raise ValueError(
-                    f"thresholds for scale index {k} not strictly increasing: {g}"
-                )
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gammas", gammas)
 
 
 @dataclass(frozen=True)

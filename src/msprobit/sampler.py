@@ -6,7 +6,8 @@ augmented latents (exact truncated-normal conditionals), and the shared
 coefficients (conjugate Gaussian). The threshold move integrates the
 latents out, so its acceptance ratio depends only on the observed labels;
 the latent block immediately afterwards redraws every latent under the
-accepted thresholds.
+accepted thresholds. Both blocks read a row's class interval from one flat
+array of the class edges of all scales.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
 from .model import (
     ChainConfig,
     Dataset,
-    ParamDraw,
     ScaleSpec,
     default_init,
     validate_dataset,
@@ -75,21 +75,6 @@ class DrawSet:
 
     def __len__(self) -> int:
         return self.beta_draws.shape[0]
-
-    def __getitem__(self, i: int) -> ParamDraw:
-        return ParamDraw(
-            beta=self.beta_draws[i],
-            gammas=tuple(g[i] for g in self.gamma_draws),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def draws(self) -> list[ParamDraw]:
-        """Draws as a list of validated ParamDraw objects."""
-        return list(self)
 
     @property
     def accept_rate(self) -> dict[int, float]:
@@ -135,106 +120,6 @@ class DrawSet:
         )
 
 
-def _edges(gamma: np.ndarray) -> np.ndarray:
-    return np.concatenate(([_NEG_INF], gamma, [np.inf]))
-
-
-def gamma_log_acceptance_ratio(
-    current: np.ndarray,
-    proposed: np.ndarray,
-    eta: np.ndarray,
-    labels: np.ndarray,
-    proposal_sd: float,
-) -> float:
-    """Log MH ratio for a blocked threshold move on one scale.
-
-    eta and labels cover only the observations of that scale. The ratio is
-    the label-likelihood ratio times the correction for the sequential
-    truncated-normal proposal: the normal kernels cancel, leaving the
-    forward over reverse truncation normalizers. Returns -inf for a
-    zero-density proposal and +inf for a zero-density current state (the
-    caller treats the latter as a panic).
-
-    The reverse move regenerates threshold c inside (current c-1,
-    proposed c+1), so a proposal with proposed c+1 <= current c cannot be
-    undone; its reverse density is zero and the move must be rejected.
-    """
-    current = np.asarray(current, dtype=float)
-    proposed = np.asarray(proposed, dtype=float)
-    cur_edges = _edges(current)
-    prop_edges = _edges(proposed)
-    ll_cur = np.sum(
-        log_interval_mass(cur_edges[labels - 1] - eta, cur_edges[labels] - eta)
-    )
-    ll_prop = np.sum(
-        log_interval_mass(prop_edges[labels - 1] - eta, prop_edges[labels] - eta)
-    )
-    if ll_cur == _NEG_INF:
-        return math.inf
-    if current.size > 1 and bool(np.any(current[:-1] >= proposed[1:])):
-        return _NEG_INF
-
-    sd = float(proposal_sd)
-    below_prop = np.concatenate(([_NEG_INF], proposed[:-1]))
-    above_cur = np.concatenate((current[1:], [np.inf]))
-    below_cur = np.concatenate(([_NEG_INF], current[:-1]))
-    above_prop = np.concatenate((proposed[1:], [np.inf]))
-    log_fwd = np.sum(
-        log_interval_mass((below_prop - current) / sd, (above_cur - current) / sd)
-    )
-    log_rev = np.sum(
-        log_interval_mass((below_cur - proposed) / sd, (above_prop - proposed) / sd)
-    )
-    return float(ll_prop - ll_cur + log_fwd - log_rev)
-
-
-def _propose_gammas(
-    current: np.ndarray, proposal_sd: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sequential truncated-normal proposal; ordering holds by construction.
-
-    Threshold c is proposed between the freshly proposed c-1 and the
-    previous-iteration c+1.
-    """
-    k = current.size
-    proposed = np.empty(k)
-    var = float(proposal_sd) ** 2
-    lower = _NEG_INF
-    for c in range(k):
-        upper = current[c + 1] if c + 1 < k else np.inf
-        proposed[c] = sample_truncated_normal(current[c], var, (lower, upper), rng)
-        lower = proposed[c]
-    return proposed
-
-
-def _mh_step(
-    scale: ScaleSpec,
-    current: np.ndarray,
-    eta: np.ndarray,
-    labels: np.ndarray,
-    proposal_sd: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    proposed = _propose_gammas(current, proposal_sd, rng)
-    log_ratio = gamma_log_acceptance_ratio(current, proposed, eta, labels, proposal_sd)
-    u = rng.uniform()
-    if math.isnan(log_ratio) or log_ratio == math.inf:
-        raise SamplerPanicError(
-            "zero-probability or undefined state in threshold update: "
-            f"scale={scale.scale_id} current={current.tolist()} "
-            f"proposed={proposed.tolist()} log_ratio={log_ratio} "
-            f"eta_range=({eta.min() if eta.size else 'na'}, "
-            f"{eta.max() if eta.size else 'na'})"
-        )
-    if log_ratio >= 0.0:
-        accepted = True
-    elif log_ratio == _NEG_INF or u == 0.0:
-        accepted = False
-    else:
-        accepted = math.log(u) <= log_ratio
-    return (proposed if accepted else current), accepted
-
-
 class _GibbsKernel:
     """The Gibbs sampler for one dataset: run_chain, the tuner and the
     acceptance gate all step it.
@@ -243,8 +128,11 @@ class _GibbsKernel:
     the latents, the coefficients. The posterior precision of the
     coefficients never changes across sweeps, so its Cholesky factor is
     computed once. The class edges of all scales live in one flat array,
-    (-inf, thresholds, +inf) per scale, and each row holds the index of
-    its lower and upper edge in it.
+    (-inf, thresholds, +inf) per scale, followed by the same layout for a
+    proposal, and each row holds the index of its lower and upper edge in
+    it. The latent draw reads a row's interval there, and the threshold
+    move reads both the current and the proposed intervals of all rows,
+    and every threshold's neighbours, from the same array.
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
@@ -268,24 +156,41 @@ class _GibbsKernel:
         self.scale_rows = [
             dataset.rows_for_scale(s.scale_id) for s in dataset.scales
         ]
-        self.scale_labels = [
-            dataset.labels[rows] for rows in self.scale_rows
-        ]
         for s, rows in zip(dataset.scales, self.scale_rows):
             if rows.size == 0:
                 raise ConfigError(
                     f"scale {s.scale_id} declared but has no observations"
                 )
         offsets = np.cumsum([0] + [s.num_classes + 1 for s in dataset.scales])
-        self._edges = np.full(offsets[-1], np.inf)
-        self._edges[offsets[:-1]] = _NEG_INF
+        width = offsets[-1]
+        # the current edges fill [0, width), a proposal's [width, 2 * width)
+        starts = offsets[:-1]
+        self._edges = np.full(2 * width, np.inf)
+        self._edges[np.concatenate((starts, starts + width))] = _NEG_INF
         self._threshold_pos = np.concatenate(
             [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, dataset.scales)]
         )
         self._lower_pos = np.empty(dataset.num_obs, dtype=np.intp)
-        for o, rows, labels in zip(offsets, self.scale_rows, self.scale_labels):
-            self._lower_pos[rows] = o + labels - 1
+        for o, rows in zip(offsets, self.scale_rows):
+            self._lower_pos[rows] = o + dataset.labels[rows] - 1
         self._upper_pos = self._lower_pos + 1
+
+        # The threshold move takes the rows grouped by scale, so that each
+        # scale's rows, like its thresholds, are one contiguous slice.
+        order = np.concatenate(self.scale_rows)
+        self._grouping = None if np.all(np.diff(order) > 0) else order
+        both = np.array([[0], [width]])  # current, proposed
+        self._label_lower = self._lower_pos[order] + both
+        self._label_upper = self._label_lower + 1
+        tpos = self._threshold_pos
+        self._threshold_slots = (tpos + both).ravel()
+        # threshold t is proposed inside (proposed t-1, current t+1) and
+        # would be drawn back inside (current t-1, proposed t+1)
+        self._below = tpos - 1 + both[::-1]
+        self._above = tpos + 1 + both
+        self._num_thresholds = [s.num_thresholds for s in dataset.scales]
+        self._row_ends = np.cumsum([rows.size for rows in self.scale_rows]).tolist()
+        self._threshold_ends = np.cumsum(self._num_thresholds).tolist()
 
     def initial_state(self):
         config, dataset = self.config, self.dataset
@@ -326,22 +231,89 @@ class _GibbsKernel:
 
     def update_thresholds(self, eta, gammas, proposal_sds, rng) -> list[bool]:
         """One blocked MH move per scale given the linear predictor eta;
-        replaces gammas[k] in place and returns the accept flags.
+        replaces gammas[k] in place and returns the accept flags. The move
+        integrates the latents out, so it sees only the labels.
 
-        The move integrates the latents out, so it sees only the labels.
+        Scale by scale, threshold c is proposed from a normal around its
+        current value truncated to (proposed c-1, current c+1), so the
+        proposal is ordered by construction (Cowles 1996); then the scale's
+        accept uniform is drawn.
         """
+        proposed, uniforms = [], []
+        for current, sd in zip(gammas, proposal_sds):
+            var, size = float(sd) ** 2, current.size
+            prop, lower = np.empty(size), _NEG_INF
+            for c in range(size):
+                upper = current[c + 1] if c + 1 < size else np.inf
+                prop[c] = lower = sample_truncated_normal(
+                    current[c], var, (lower, upper), rng
+                )
+            proposed.append(prop)
+            uniforms.append(rng.uniform())
+        log_ratios = self.log_acceptance_ratios(eta, gammas, proposed, proposal_sds)
         accepts = []
-        for k, s in enumerate(self.dataset.scales):
-            gammas[k], acc = _mh_step(
-                s,
-                gammas[k],
-                eta[self.scale_rows[k]],
-                self.scale_labels[k],
-                proposal_sds[k],
-                rng,
+        for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
+            if math.isnan(log_ratio) or log_ratio == math.inf:
+                eta_k = eta[self.scale_rows[k]]
+                raise SamplerPanicError(
+                    "zero-probability or undefined state in threshold update: "
+                    f"scale={self.dataset.scales[k].scale_id} "
+                    f"current={gammas[k].tolist()} "
+                    f"proposed={proposed[k].tolist()} log_ratio={log_ratio} "
+                    f"eta_range=({eta_k.min()}, {eta_k.max()})"
+                )
+            accepted = log_ratio >= 0.0 or (
+                log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio
             )
-            accepts.append(acc)
+            if accepted:
+                gammas[k] = proposed[k]
+            accepts.append(accepted)
         return accepts
+
+    def log_acceptance_ratios(self, eta, gammas, proposed, proposal_sds) -> np.ndarray:
+        """Log MH ratio of the blocked threshold move of every scale, given
+        the linear predictor eta of all rows.
+
+        A ratio is the label-likelihood ratio times the correction for the
+        sequential truncated-normal proposal: the normal kernels cancel,
+        leaving the forward over reverse truncation normalizers. It is -inf
+        for a zero-density proposal and +inf for a zero-density current
+        state (update_thresholds treats that as a panic).
+
+        The reverse move redraws threshold c inside (current c-1, proposed
+        c+1), so a proposal with proposed c+1 <= current c cannot be undone;
+        its reverse density is zero and the move must be rejected.
+        """
+        edges = self._edges
+        thresholds = np.concatenate((*gammas, *proposed))
+        edges[self._threshold_slots] = thresholds
+        if self._grouping is not None:
+            eta = eta[self._grouping]
+        # rows 0 and 1: the labels' log-likelihood under current and proposed
+        loglik = log_interval_mass(
+            edges[self._label_lower] - eta, edges[self._label_upper] - eta
+        )
+        centre = thresholds.reshape(2, -1)
+        above = edges[self._above]
+        sds = np.repeat(proposal_sds, self._num_thresholds)
+        # rows 0 and 1: forward and reverse proposal normalizers
+        log_norm = log_interval_mass(
+            (edges[self._below] - centre) / sds, (above - centre) / sds
+        )
+        irreversible = centre[0] >= above[1]
+        ratios = np.empty(len(self._row_ends))
+        r0 = t0 = 0
+        for k, (r1, t1) in enumerate(zip(self._row_ends, self._threshold_ends)):
+            ll_cur = loglik[0, r0:r1].sum()
+            if ll_cur == _NEG_INF:
+                ratios[k] = np.inf
+            elif irreversible[t0 : t1 - 1].any():
+                ratios[k] = _NEG_INF
+            else:
+                fwd, rev = log_norm[0, t0:t1].sum(), log_norm[1, t0:t1].sum()
+                ratios[k] = loglik[1, r0:r1].sum() - ll_cur + fwd - rev
+            r0, t0 = r1, t1
+        return ratios
 
     def draw_latents(self, eta, gammas, rng):
         """Redraw every latent from its truncated-normal conditional;

@@ -67,21 +67,9 @@ def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(gamma, y_star, side="left")
 
 
-def simulate_dataset(
-    S: int,
-    n: int,
-    p: int,
-    num_thresholds,
-    k: int,
-    rng: np.random.Generator,
-) -> SimTruth:
-    """Generate multi-scale ordinal data from the model's own assumptions.
-
-    Shared coefficients ~ N_p(0, I) drawn once. Per scale: an (n, p)
-    standard-normal feature matrix, then repeatedly: thresholds as sorted
-    iid Normal(0, variance 5) values, latents ~ N(x.beta, 1), labels by
-    interval lookup, until every class has at least k observations.
-    """
+def _check_design(S: int, n: int, p: int, num_thresholds, k: int) -> tuple[int, ...]:
+    """Raise ConfigError unless simulate_dataset can draw this design;
+    returns num_thresholds as a tuple of ints."""
     num_thresholds = tuple(int(t) for t in num_thresholds)
     if len(num_thresholds) != S:
         raise ConfigError(
@@ -97,6 +85,25 @@ def simulate_dataset(
             f"n={n} cannot hold {k} instances of every class for "
             f"num_thresholds={num_thresholds}"
         )
+    return num_thresholds
+
+
+def simulate_dataset(
+    S: int,
+    n: int,
+    p: int,
+    num_thresholds,
+    k: int,
+    rng: np.random.Generator,
+) -> SimTruth:
+    """Generate multi-scale ordinal data from the model's own assumptions.
+
+    Shared coefficients ~ N_p(0, I) drawn once. Per scale: an (n, p)
+    standard-normal feature matrix, then repeatedly: thresholds as sorted
+    iid Normal(0, variance 5) values, latents ~ N(x.beta, 1), labels by
+    interval lookup, until every class has at least k observations.
+    """
+    num_thresholds = _check_design(S, n, p, num_thresholds, k)
 
     beta = rng.standard_normal(p)
     gammas, y_stars, features, labels, scales = [], [], [], [], []
@@ -163,7 +170,8 @@ class ExperimentConfig:
 
     chain_config.seed is ignored; every fit gets its own seed derived from
     `seed` and the replication index, so replications are independent and
-    the whole experiment is reproducible from one number.
+    the whole experiment is reproducible from one number. Design and chain
+    errors raise ConfigError here, before any replication runs.
     """
 
     replications: int
@@ -177,11 +185,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "num_thresholds", tuple(int(t) for t in self.num_thresholds)
-        )
         if int(self.replications) < 1:
             raise ConfigError("replications must be >= 1")
+        S, p = int(self.num_scales), int(self.num_features)
+        num_thresholds = _check_design(
+            S, int(self.obs_per_scale), p, self.num_thresholds, int(self.min_per_class)
+        )
+        object.__setattr__(self, "num_thresholds", num_thresholds)
+        if int(self.num_chains) < 1:
+            raise ConfigError(f"num_chains must be >= 1, got {self.num_chains}")
+        chain = self.chain_config
+        for scale_id in range(1, S + 1):
+            chain.proposal_sd_for(scale_id)
+        chain.prior.mean_vector(p)
+        chain.prior.precision_matrix(p)
 
 
 @dataclass(frozen=True)

@@ -551,6 +551,30 @@ def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"num_thresholds": [1]}, "num_thresholds has 1 entries for S=2"),
+        ({"num_scales": -1, "num_thresholds": [1]}, "for S=-1"),
+        (
+            {"chain": {**FIT_CONFIG, "proposal_sd": -1}},
+            "proposal_sd for scale 1 must be > 0",
+        ),
+    ],
+)
+def test_cli_experiment_rejects_invalid_design_before_replicating(
+    tmp_path, capsys, changes, match
+):
+    doc = {**SIM_CONFIG, "replications": 2, "chain": FIT_CONFIG, **changes}
+    config = _write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "o"
+    _fails_with_one_line(
+        capsys, ["experiment", "--config", config, "--out", str(out)], match
+    )
+    assert not (out / "experiment_summary.csv").exists()
+    assert not (out.exists() and any(out.iterdir()))
+
+
 def test_cli_fit_rejects_non_integer_chain_count(sim_dir, tmp_path, capsys):
     config = _write_json(tmp_path / "fit.json", {**FIT_CONFIG, "num_chains": "x"})
     _fails_with_one_line(

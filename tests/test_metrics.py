@@ -294,15 +294,21 @@ def _eval_config():
     return ChainConfig(burn_in=30, thinning=1, stored_draws=15, seed=0)
 
 
+def _long_row_count(num_splits, scales, draws):
+    # README: f * sum_s 2 models * 2 sides * (3 + C_s) metrics * M rows
+    return num_splits * sum(2 * 2 * (3 + s.num_classes) * draws for s in scales)
+
+
 def test_evaluate_splits_shapes_and_names():
     ds, _ = make_two_scale_dataset(seed=31, n_per=42)
     report = evaluate_splits(
         ds, 2 / 3, 2, _eval_config(), np.random.default_rng(12)
     )
-    assert len(report.long_rows) == report.expected_long_rows()
-    assert len(report.diff_rows) == report.expected_diff_rows()
     # scale 1 binary, scale 2 3-class: per split 2*2*(3+2)*15 + 2*2*(3+3)*15
-    assert report.expected_long_rows() == 2 * (2 * 2 * 5 * 15 + 2 * 2 * 6 * 15)
+    assert len(report.long_rows) == 2 * (2 * 2 * 5 * 15 + 2 * 2 * 6 * 15)
+    assert len(report.long_rows) == _long_row_count(2, ds.scales, 15)
+    # README: f * num_scales * 6 rows
+    assert len(report.diff_rows) == 2 * 2 * 6
     metrics = {row[3] for row in report.long_rows}
     assert "f1_macro_in" in metrics and "tau_b_out" in metrics
     assert "harmonic_in" in metrics and "f1_class_3_out" in metrics
@@ -344,7 +350,7 @@ def test_evaluate_splits_empty_test_side_yields_nan_rows():
     )
     ds = base.subset(keep)
     report = evaluate_splits(ds, 0.9, 1, _eval_config(), np.random.default_rng(2))
-    assert len(report.long_rows) == report.expected_long_rows()
+    assert len(report.long_rows) == _long_row_count(1, ds.scales, 15)
     out_rows_s2 = [
         row for row in report.long_rows if row[2] == 2 and row[3].endswith("_out")
     ]

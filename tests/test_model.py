@@ -9,7 +9,6 @@ from msprobit.errors import (
 from msprobit.model import (
     ChainConfig,
     Dataset,
-    ParamDraw,
     Prior,
     ScaleSpec,
     default_init,
@@ -47,15 +46,6 @@ def test_dataset_accessors(two_scale_dataset):
     sub = ds.subset(np.array([0, 50]))
     assert sub.num_obs == 2
     assert sub.scale_ids.tolist() == [1, 2]
-
-
-def test_param_draw_requires_ordered_thresholds():
-    with pytest.raises(ValueError):
-        ParamDraw(beta=np.zeros(2), gammas=(np.array([1.0, 0.5]),))
-    with pytest.raises(ValueError):
-        ParamDraw(beta=np.zeros(2), gammas=(np.array([0.5, 0.5]),))
-    d = ParamDraw(beta=np.zeros(2), gammas=(np.array([-1.0, 1.0]), np.array([0.0])))
-    assert d.gammas[0].tolist() == [-1.0, 1.0]
 
 
 def test_validate_dataset_collects_all_violations():

@@ -13,11 +13,10 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from msprobit.errors import ConfigError, InitializationError
-from msprobit.model import ChainConfig, Dataset, ParamDraw, Prior, ScaleSpec
+from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.sampler import (
     DrawSet,
     _GibbsKernel,
-    gamma_log_acceptance_ratio,
     mcse_mean,
     run_chain,
     run_chains,
@@ -62,6 +61,28 @@ def _oracle_log_ratio(current, proposed, eta, labels, sd):
     return loglik(proposed) - loglik(current) + fwd - rev
 
 
+def _ratio_kernel(labels, scale_ids, num_classes):
+    # the threshold move reads only labels and eta; the features are filler
+    n = len(labels)
+    ds = Dataset(
+        features=np.ones((n, 1)),
+        labels=labels,
+        scale_ids=scale_ids,
+        scales=tuple(ScaleSpec(k + 1, c) for k, c in enumerate(num_classes)),
+    )
+    return _GibbsKernel(ds, ChainConfig())
+
+
+def _log_ratio(current, proposed, eta, labels, sd):
+    """The scoring method on a one-scale kernel holding exactly these rows."""
+    current = np.asarray(current, dtype=float)
+    proposed = np.asarray(proposed, dtype=float)
+    scale_ids = np.ones(len(labels), dtype=int)
+    kernel = _ratio_kernel(labels, scale_ids, (current.size + 1,))
+    eta = np.asarray(eta, dtype=float)
+    return kernel.log_acceptance_ratios(eta, [current], [proposed], [sd])[0]
+
+
 def test_acceptance_ratio_matches_quadrature_oracle():
     g = np.random.default_rng(7)
     current = np.array([-0.8, 0.1, 0.9])
@@ -72,7 +93,7 @@ def test_acceptance_ratio_matches_quadrature_oracle():
             proposed = np.sort(current + g.normal(scale=0.25, size=3))
             if np.any(np.diff(proposed) <= 1e-6):
                 continue
-            got = gamma_log_acceptance_ratio(current, proposed, eta, labels, sd)
+            got = _log_ratio(current, proposed, eta, labels, sd)
             want = _oracle_log_ratio(current, proposed, eta, labels, sd)
             assert got == pytest.approx(want, abs=1e-8), (sd, proposed)
 
@@ -84,12 +105,10 @@ def test_acceptance_ratio_reverse_infeasible_move_rejected():
     labels = np.array([1, 3])
     current = np.array([0.0, 0.1])
     proposed = np.array([-2.0, -1.0])
-    assert gamma_log_acceptance_ratio(current, proposed, eta, labels, 0.5) == -math.inf
+    assert _log_ratio(current, proposed, eta, labels, 0.5) == -math.inf
     # the mirrored move is fine: every current threshold sits inside its
     # reverse window
-    assert math.isfinite(
-        gamma_log_acceptance_ratio(proposed, current, eta, labels, 0.5)
-    )
+    assert math.isfinite(_log_ratio(proposed, current, eta, labels, 0.5))
 
 
 def test_acceptance_ratio_shifted_block_matches_oracle():
@@ -102,7 +121,7 @@ def test_acceptance_ratio_shifted_block_matches_oracle():
         proposed = np.sort(current + g.normal(scale=1.0, size=3))
         if np.any(np.diff(proposed) <= 1e-6):
             continue
-        got = gamma_log_acceptance_ratio(current, proposed, eta, labels, 0.7)
+        got = _log_ratio(current, proposed, eta, labels, 0.7)
         want = _oracle_log_ratio(current, proposed, eta, labels, 0.7)
         if want == -math.inf:
             hit_infeasible += 1
@@ -116,7 +135,7 @@ def test_acceptance_ratio_identity_move_is_zero():
     current = np.array([-0.5, 0.4])
     eta = np.array([0.1, -0.2, 0.5])
     labels = np.array([1, 2, 3])
-    assert gamma_log_acceptance_ratio(current, current, eta, labels, 0.5) == 0.0
+    assert _log_ratio(current, current, eta, labels, 0.5) == 0.0
 
 
 def test_acceptance_ratio_binary_scale_has_no_correction():
@@ -125,7 +144,7 @@ def test_acceptance_ratio_binary_scale_has_no_correction():
     eta = g.normal(size=10)
     labels = 1 + (g.uniform(size=10) > 0.4).astype(int)
     cur, prop = np.array([0.2]), np.array([-0.3])
-    got = gamma_log_acceptance_ratio(cur, prop, eta, labels, 0.7)
+    got = _log_ratio(cur, prop, eta, labels, 0.7)
 
     def ll(gam):
         p2 = 1.0 - norm.cdf(gam - eta)
@@ -140,8 +159,46 @@ def test_acceptance_ratio_finite_at_extreme_eta():
     proposed = np.array([-0.9, 1.1])
     eta = np.array([300.0, -300.0, 250.0])
     labels = np.array([1, 3, 2])
-    val = gamma_log_acceptance_ratio(current, proposed, eta, labels, 0.5)
+    val = _log_ratio(current, proposed, eta, labels, 0.5)
     assert math.isfinite(val)
+
+
+def test_acceptance_ratios_of_interleaved_scales_match_oracle():
+    # three scales whose rows interleave: each scale's ratio must come from
+    # its own rows, thresholds and proposal sd only
+    g = np.random.default_rng(29)
+    num_classes = (2, 4, 3)
+    scale_ids = g.permutation(np.repeat([1, 2, 3], [7, 9, 8]))
+    labels = np.array([1 + g.integers(num_classes[s - 1]) for s in scale_ids])
+    kernel = _ratio_kernel(labels, scale_ids, num_classes)
+    eta = g.normal(scale=1.2, size=labels.size)
+    current = [np.array([0.3]), np.array([-0.8, 0.1, 0.9]), np.array([-0.4, 0.5])]
+    sds = [0.9, 0.7, 0.4]
+
+    def check(proposed):
+        got = kernel.log_acceptance_ratios(eta, current, proposed, sds)
+        for k in range(3):
+            rows = scale_ids == k + 1
+            want = _oracle_log_ratio(
+                current[k], proposed[k], eta[rows], labels[rows], sds[k]
+            )
+            if want == -math.inf:
+                assert got[k] == -math.inf, k
+            else:
+                assert got[k] == pytest.approx(want, abs=1e-8), k
+        return got
+
+    # scale 2 slid below its current thresholds (reverse-infeasible) while
+    # its neighbours in the flat edge array make finite moves
+    got = check(
+        [np.array([0.1]), np.array([-3.0, -2.0, -1.0]), np.array([-0.3, 0.6])]
+    )
+    assert got[1] == -math.inf and math.isfinite(got[0]) and math.isfinite(got[2])
+    for _ in range(8):
+        proposed = [np.sort(c + g.normal(scale=0.6, size=c.size)) for c in current]
+        if any(np.any(np.diff(p) <= 1e-6) for p in proposed):
+            continue
+        check(proposed)
 
 
 def test_mh_update_moves_toward_data(two_scale_dataset):
@@ -244,8 +301,6 @@ def test_every_stored_draw_is_ordered(two_scale_dataset):
     for g in draws.gamma_draws:
         if g.shape[1] > 1:
             assert np.all(np.diff(g, axis=1) > 0)
-    for d in draws:
-        assert isinstance(d, ParamDraw)
 
 
 def test_run_chains_single_equals_run_chain(two_scale_dataset):
