@@ -2,9 +2,7 @@
 several ordinal annotation scales, fit by data-augmented MCMC."""
 
 from .distributions import (
-    Interval,
     log_interval_mass,
-    sample_truncated_normal,
     sample_truncated_normal_many,
     std_normal_quantile,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "ExperimentReport",
     "F1Result",
     "InitializationError",
-    "Interval",
     "LinearAlgebraError",
     "MsprobitError",
     "NumericalError",
@@ -99,7 +96,6 @@ __all__ = [
     "run_chain",
     "run_chains",
     "run_experiment",
-    "sample_truncated_normal",
     "sample_truncated_normal_many",
     "simulate_dataset",
     "std_normal_quantile",

@@ -10,10 +10,8 @@ the outermost ordinal classes need no special casing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DegeneracyError, NumericalError
@@ -26,28 +24,9 @@ _LOG_MASS_FLOOR = math.log(MASS_FLOOR)
 # rejection sampler takes over.
 _INVERSE_CDF_MASS_CUTOFF = 1e-10
 _LOG_INVERSE_CDF_CUTOFF = math.log(_INVERSE_CDF_MASS_CUTOFF)
+_SCREEN_MASS = 2.0 * _INVERSE_CDF_MASS_CUTOFF
 
 _MAX_REJECTION_TRIES = 100_000
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Truncation interval with extended-real endpoints, ``lower < upper``."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        lower = float(self.lower)
-        upper = float(self.upper)
-        if math.isnan(lower) or math.isnan(upper):
-            raise ValueError("interval endpoints must not be NaN")
-        if not lower < upper:
-            raise ValueError(
-                f"interval requires lower < upper, got ({lower}, {upper})"
-            )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
 
 def std_normal_quantile(p):
@@ -64,6 +43,15 @@ def std_normal_quantile(p):
     return out
 
 
+def _reflect(a, b):
+    """The flip mask and the endpoints of (a, b) reflected onto the lower
+    tail when most of the interval lies above zero. ``a > -b`` is
+    ``a + b > 0`` without the nan of ``(-inf) + inf``: the whole line is
+    not flipped."""
+    flip = a > -b
+    return flip, np.where(flip, -b, a), np.where(flip, -a, b)
+
+
 def log_interval_mass(lower, upper):
     """log(Phi(upper) - Phi(lower)), elementwise, stable in both tails.
 
@@ -71,17 +59,10 @@ def log_interval_mass(lower, upper):
     difference is always taken between log-CDFs on the side where they are
     accurate; arguments with magnitude up to several hundred do not overflow.
     """
-    a = np.asarray(lower, dtype=float)
-    b = np.asarray(upper, dtype=float)
-    # nan from (-inf) + inf means the interval is the whole line: no flip.
-    with np.errstate(invalid="ignore"):
-        flip = (a + b) > 0
-    a2 = np.where(flip, -b, a)
-    b2 = np.where(flip, -a, b)
+    _, a, b = _reflect(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
     with np.errstate(invalid="ignore", divide="ignore"):
-        log_hi = log_ndtr(b2)
-        log_lo = log_ndtr(a2)
-        out = log_hi + np.log1p(-np.exp(log_lo - log_hi))
+        log_hi = log_ndtr(b)
+        out = log_hi + np.log1p(-np.exp(log_ndtr(a) - log_hi))
     # lower bound of -inf: exp(-inf - finite) = 0, log1p(0) = 0, already right.
     # Identical endpoints after underflow give log1p(-1) = -inf: zero mass.
     if np.ndim(lower) == 0 and np.ndim(upper) == 0:
@@ -130,124 +111,72 @@ def _tail_draw(a: float, b: float, rng: np.random.Generator) -> float:
     raise NumericalError(f"tail rejection sampler failed to accept on ({a}, {b})")
 
 
-def _clamp_inside(x: float, lower: float, upper: float) -> float:
-    if x <= lower:
-        return float(np.nextafter(lower, upper))
-    if x >= upper:
-        return float(np.nextafter(upper, lower))
-    return x
+def sample_truncated_normal_many(means, variance, lowers, uppers, rng):
+    """Draw element i from Normal(means[i], variance) restricted to
+    (lowers[i], uppers[i]); variance is one value or one per element.
 
-
-def sample_truncated_normal(mean, variance, bounds, rng: np.random.Generator):
-    """One draw from Normal(mean, variance) restricted to ``bounds``.
-
-    The returned value is strictly inside the interval. Intervals whose
-    probability mass under the untruncated normal falls below 1e-300 raise
-    :class:`DegeneracyError`. Uses inverse-CDF sampling for intervals with
-    mass >= 1e-10 and rejection sampling in the far tails.
-    """
-    if not isinstance(bounds, Interval):
-        bounds = Interval(*bounds)
-    mean = float(mean)
-    variance = float(variance)
-    if not (math.isfinite(mean) and math.isfinite(variance) and variance > 0.0):
-        raise ValueError(
-            f"need finite mean and positive variance, got ({mean}, {variance})"
-        )
-    sd = math.sqrt(variance)
-    a = (bounds.lower - mean) / sd
-    b = (bounds.upper - mean) / sd
-
-    lm = log_interval_mass(a, b)
-    if lm < _LOG_MASS_FLOOR:
-        raise DegeneracyError(
-            f"interval ({bounds.lower}, {bounds.upper}) has probability mass "
-            f"below {MASS_FLOOR:g} under Normal({mean}, {variance})"
-        )
-
-    if lm >= _LOG_INVERSE_CDF_CUTOFF:
-        flip = (a + b) > 0  # False when nan (whole line)
-        a2, b2 = (-b, -a) if flip else (a, b)
-        pa = ndtr(a2)
-        pb = ndtr(b2)
-        u = rng.uniform(pa, pb)
-        u = min(max(u, 5e-324), 1.0 - 1e-16)
-        z = float(ndtri(u))
-        if flip:
-            z = -z
-    else:
-        z = _tail_draw(a, b, rng)
-    return _clamp_inside(mean + sd * z, bounds.lower, bounds.upper)
-
-
-def sample_truncated_normal_many(
-    means: np.ndarray,
-    variance: float,
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized ``sample_truncated_normal`` with a shared variance.
-
-    Draws element i from Normal(means[i], variance) restricted to
-    (lowers[i], uppers[i]). One batched uniform draw covers the inverse-CDF
-    cases; the rare far-tail elements then consume extra stream values in
-    index order, so the output is a deterministic function of the stream.
+    Every draw is strictly inside its interval. An interval whose mass
+    falls below 1e-300 raises :class:`DegeneracyError`, naming the first
+    such element, before the stream is touched. A non-finite mean, a
+    variance that is not positive and finite, a NaN bound or
+    lower >= upper raises ``ValueError``. Intervals with mass >= 1e-10
+    use the inverse CDF, all with one batched uniform draw; the rare
+    low-mass elements are then redrawn by rejection in the far tail,
+    consuming extra stream values in index order, so the output is a
+    deterministic function of the stream.
     """
     means = np.asarray(means, dtype=float)
+    variance = np.asarray(variance, dtype=float)
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
-    sd = math.sqrt(float(variance))
+    # one check covers a NaN bound too: lower < upper is then False
+    valid = np.isfinite(means) & (variance > 0.0) & (variance < np.inf) & (lowers < uppers)
+    if not valid.all():
+        i = int(np.flatnonzero(~valid)[0])
+        raise ValueError(
+            f"need a finite mean, a positive finite variance and lower < upper, "
+            f"got Normal({_at(means, valid, i)}, {_at(variance, valid, i)}) on "
+            f"({_at(lowers, valid, i)}, {_at(uppers, valid, i)}) at index {i}"
+        )
+    sd = np.sqrt(variance)
     a = (lowers - means) / sd
     b = (uppers - means) / sd
-
-    lm = log_interval_mass(a, b)
-    bad = np.flatnonzero(lm < _LOG_MASS_FLOOR)
-    if bad.size:
-        i = int(bad[0])
-        raise DegeneracyError(
-            f"interval probability mass underflow at index {i}: bounds "
-            f"({lowers[i]}, {uppers[i]}) under Normal({means[i]}, {variance})"
-            + (f"; {bad.size} elements affected in total" if bad.size > 1 else "")
-        )
-
-    with np.errstate(invalid="ignore"):
-        flip = (a + b) > 0
-    a2 = np.where(flip, -b, a)
-    b2 = np.where(flip, -a, b)
+    flip, a2, b2 = _reflect(a, b)
     pa = ndtr(a2)
-    pb = ndtr(b2)
-    u = rng.uniform(pa, pb)  # one stream consumption for the whole batch
+    mass = ndtr(b2) - pa
 
-    z = np.empty_like(u)
-    central = lm >= _LOG_INVERSE_CDF_CUTOFF
-    uc = np.clip(u[central], 5e-324, 1.0 - 1e-16)
-    z[central] = ndtri(uc)
-    z[flip] = -z[flip]
+    # ndtr's difference loses relative accuracy as the mass shrinks, so the
+    # exact log mass decides the floor and the sampler for every element
+    # below twice the cutoff; that reproduces a screen on log mass alone.
+    low = (mass < _SCREEN_MASS).nonzero()[0]
+    tail = low
+    if low.size:
+        lm = log_interval_mass(a[low], b[low])
+        bad = low[lm < _LOG_MASS_FLOOR]
+        if bad.size:
+            i = int(bad[0])
+            raise DegeneracyError(
+                f"interval probability mass underflow at index {i}: bounds "
+                f"({_at(lowers, a, i)}, {_at(uppers, a, i)}) under "
+                f"Normal({_at(means, a, i)}, {_at(variance, a, i)})"
+                + (f"; {bad.size} elements affected in total" if bad.size > 1 else "")
+            )
+        tail = low[lm < _LOG_INVERSE_CDF_CUTOFF]
 
-    # Tail draws work in the original frame and overwrite whatever the flip
-    # above left in their slots.
-    for i in np.flatnonzero(~central):
+    # rng.uniform(pa, pb) bit for bit: one stream value per element
+    u = pa + mass * rng.random(mass.shape)
+    z = ndtri(np.minimum(np.maximum(u, 5e-324), 1.0 - 1e-16))
+    z = np.where(flip, -z, z)
+    # Tail draws work in the original frame and overwrite the inverse-CDF
+    # values in their slots.
+    for i in tail.tolist():
         z[i] = _tail_draw(float(a[i]), float(b[i]), rng)
 
     x = means + sd * z
     x = np.maximum(x, np.nextafter(lowers, np.inf))
-    x = np.minimum(x, np.nextafter(uppers, -np.inf))
-    return x
+    return np.minimum(x, np.nextafter(uppers, -np.inf))
 
 
-def draw_mvn_given_cholesky(
-    chol_lower: np.ndarray,
-    precision_times_mean: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """MVN draw given the lower Cholesky factor L of the precision matrix.
-
-    Mean solves and the noise transform reuse the factor; no inverse is formed.
-    """
-    mean = cho_solve((chol_lower, True), precision_times_mean)
-    noise = solve_triangular(
-        chol_lower.T, rng.standard_normal(chol_lower.shape[0]), lower=False
-    )
-    return mean + noise
-
+def _at(values, like, i):
+    """Element i of values broadcast to the shape of like."""
+    return np.broadcast_to(values, like.shape)[i]

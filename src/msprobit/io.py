@@ -274,13 +274,6 @@ def write_table(path: str, header: list[str], rows: Iterable[tuple]):
     _write_rows(path, header, ([_format_cell(v) for v in row] for row in rows))
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
-
-
 # -- configs ---------------------------------------------------------------
 
 
@@ -379,15 +372,3 @@ def write_truth(path: str, beta: np.ndarray, gammas: dict[int, np.ndarray], y_st
     if y_star is not None:
         doc["y_star"] = [float(v) for v in np.asarray(y_star).ravel()]
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_truth(path: str) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    doc = read_json_object(path)
-    try:
-        beta = np.asarray(doc["beta"], dtype=float)
-        gammas = {
-            int(sid): np.asarray(g, dtype=float) for sid, g in doc["gammas"].items()
-        }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad truth file: {exc}") from None
-    return beta, gammas

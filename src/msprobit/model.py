@@ -171,9 +171,15 @@ class ChainConfig:
             raise ConfigError(f"thinning must be >= 1, got {self.thinning}")
         if int(self.stored_draws) < 1:
             raise ConfigError(f"stored_draws must be >= 1, got {self.stored_draws}")
+        if self.init_beta is not None:
+            beta = np.asarray(self.init_beta, dtype=float)
+            if not np.all(np.isfinite(beta)):
+                raise ConfigError(f"init_beta must be finite: {beta}")
         if self.init_gammas is not None:
             for g in self.init_gammas:
                 arr = np.asarray(g, dtype=float)
+                if not np.all(np.isfinite(arr)):
+                    raise ConfigError(f"init_gammas must be finite: {arr}")
                 if arr.size > 1 and not np.all(np.diff(arr) > 0):
                     raise ConfigError(
                         f"init_gammas not strictly increasing: {arr}"

@@ -7,7 +7,12 @@ coefficients (conjugate Gaussian). The threshold move integrates the
 latents out, so its acceptance ratio depends only on the observed labels;
 the latent block immediately afterwards redraws every latent under the
 accepted thresholds. Both blocks read a row's class interval from one flat
-array of the class edges of all scales.
+array of the class edges of all scales, and the proposal is drawn into
+the same array position by position: threshold c of every scale in one
+vector call, for c = 1, 2, .... The coefficient draw multiplies by the
+inverse Cholesky factor of the posterior precision, computed once per
+dataset. Every truncated-normal draw goes through
+``sample_truncated_normal_many``.
 """
 
 from __future__ import annotations
@@ -17,13 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .distributions import (
-    draw_mvn_given_cholesky,
-    log_interval_mass,
-    sample_truncated_normal,
-    sample_truncated_normal_many,
-)
+from .distributions import log_interval_mass, sample_truncated_normal_many
 from .errors import (
     ConfigError,
     LinearAlgebraError,
@@ -126,13 +127,16 @@ class _GibbsKernel:
 
     A sweep is three blocks, each a method: the thresholds of every scale,
     the latents, the coefficients. The posterior precision of the
-    coefficients never changes across sweeps, so its Cholesky factor is
-    computed once. The class edges of all scales live in one flat array,
-    (-inf, thresholds, +inf) per scale, followed by the same layout for a
+    coefficients never changes across sweeps, so the inverse of its
+    Cholesky factor is computed once and a draw is two small products.
+    The class edges of all scales live in one flat array, (-inf,
+    thresholds, +inf) per scale, followed by the same layout for a
     proposal, and each row holds the index of its lower and upper edge in
-    it. The latent draw reads a row's interval there, and the threshold
-    move reads both the current and the proposed intervals of all rows,
-    and every threshold's neighbours, from the same array.
+    it. The threshold proposal is drawn position by position into the
+    proposal half, threshold c of every scale in one call. The latent
+    draw reads a row's interval from the array, and the threshold move
+    reads both the current and the proposed intervals of all rows, and
+    every threshold's neighbours, from it too.
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
@@ -146,12 +150,14 @@ class _GibbsKernel:
         self.prior_mean = config.prior.mean_vector(p)
         prior_prec = config.prior.precision_matrix(p)
         try:
-            self.chol = np.linalg.cholesky(prior_prec + X.T @ X)
+            chol = np.linalg.cholesky(prior_prec + X.T @ X)
         except np.linalg.LinAlgError as exc:
             raise LinearAlgebraError(
                 "posterior precision factorization failed; prior precision "
                 "must be symmetric positive definite"
             ) from exc
+        # the posterior covariance is chol_inv.T @ chol_inv
+        self.chol_inv = solve_triangular(chol, np.eye(p), lower=True)
         self.lam_mu = prior_prec @ self.prior_mean
         self.scale_rows = [
             dataset.rows_for_scale(s.scale_id) for s in dataset.scales
@@ -161,6 +167,7 @@ class _GibbsKernel:
                 raise ConfigError(
                     f"scale {s.scale_id} declared but has no observations"
                 )
+        self._num_thresholds = [s.num_thresholds for s in dataset.scales]
         offsets = np.cumsum([0] + [s.num_classes + 1 for s in dataset.scales])
         width = offsets[-1]
         # the current edges fill [0, width), a proposal's [width, 2 * width)
@@ -170,6 +177,19 @@ class _GibbsKernel:
         self._threshold_pos = np.concatenate(
             [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, dataset.scales)]
         )
+        self._proposed_slices = [
+            slice(width + o + 1, width + o + k + 1)
+            for o, k in zip(starts, self._num_thresholds)
+        ]
+        # Proposal step c draws threshold c of every scale that has one,
+        # around its current edge, inside (proposed c-1, current c+1).
+        self._proposal_steps = []
+        for c in range(1, max(self._num_thresholds) + 1):
+            scales = np.flatnonzero(np.array(self._num_thresholds) >= c)
+            current = starts[scales] + c
+            self._proposal_steps.append(
+                (current, current + width - 1, current + 1, current + width, scales)
+            )
         self._lower_pos = np.empty(dataset.num_obs, dtype=np.intp)
         for o, rows in zip(offsets, self.scale_rows):
             self._lower_pos[rows] = o + dataset.labels[rows] - 1
@@ -188,9 +208,8 @@ class _GibbsKernel:
         # would be drawn back inside (current t-1, proposed t+1)
         self._below = tpos - 1 + both[::-1]
         self._above = tpos + 1 + both
-        self._num_thresholds = [s.num_thresholds for s in dataset.scales]
-        self._row_ends = np.cumsum([rows.size for rows in self.scale_rows]).tolist()
-        self._threshold_ends = np.cumsum(self._num_thresholds).tolist()
+        self._row_starts = np.cumsum([0] + [rows.size for rows in self.scale_rows[:-1]])
+        self._threshold_starts = np.cumsum([0] + self._num_thresholds[:-1])
 
     def initial_state(self):
         config, dataset = self.config, self.dataset
@@ -234,22 +253,21 @@ class _GibbsKernel:
         replaces gammas[k] in place and returns the accept flags. The move
         integrates the latents out, so it sees only the labels.
 
-        Scale by scale, threshold c is proposed from a normal around its
-        current value truncated to (proposed c-1, current c+1), so the
-        proposal is ordered by construction (Cowles 1996); then the scale's
-        accept uniform is drawn.
+        Threshold c is proposed from a normal around its current value
+        truncated to (proposed c-1, current c+1), so the proposal is
+        ordered by construction (Cowles 1996). One call draws threshold c
+        of every scale, for c = 1, 2, ..., which keeps each scale's
+        proposal sequential; then one call draws every accept uniform.
         """
-        proposed, uniforms = [], []
-        for current, sd in zip(gammas, proposal_sds):
-            var, size = float(sd) ** 2, current.size
-            prop, lower = np.empty(size), _NEG_INF
-            for c in range(size):
-                upper = current[c + 1] if c + 1 < size else np.inf
-                prop[c] = lower = sample_truncated_normal(
-                    current[c], var, (lower, upper), rng
-                )
-            proposed.append(prop)
-            uniforms.append(rng.uniform())
+        edges = self._edges
+        edges[self._threshold_pos] = np.concatenate(gammas)
+        variances = np.square(proposal_sds)
+        for current, below, above, slots, scales in self._proposal_steps:
+            edges[slots] = sample_truncated_normal_many(
+                edges[current], variances[scales], edges[below], edges[above], rng
+            )
+        uniforms = rng.random(len(gammas)).tolist()
+        proposed = [edges[s] for s in self._proposed_slices]
         log_ratios = self.log_acceptance_ratios(eta, gammas, proposed, proposal_sds)
         accepts = []
         for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
@@ -266,7 +284,7 @@ class _GibbsKernel:
                 log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio
             )
             if accepted:
-                gammas[k] = proposed[k]
+                gammas[k] = proposed[k].copy()
             accepts.append(accepted)
         return accepts
 
@@ -300,19 +318,13 @@ class _GibbsKernel:
         log_norm = log_interval_mass(
             (edges[self._below] - centre) / sds, (above - centre) / sds
         )
+        ll = np.add.reduceat(loglik, self._row_starts, axis=1)
+        norm = np.add.reduceat(log_norm, self._threshold_starts, axis=1)
+        with np.errstate(invalid="ignore"):
+            ratios = ll[1] - ll[0] + norm[0] - norm[1]
         irreversible = centre[0] >= above[1]
-        ratios = np.empty(len(self._row_ends))
-        r0 = t0 = 0
-        for k, (r1, t1) in enumerate(zip(self._row_ends, self._threshold_ends)):
-            ll_cur = loglik[0, r0:r1].sum()
-            if ll_cur == _NEG_INF:
-                ratios[k] = np.inf
-            elif irreversible[t0 : t1 - 1].any():
-                ratios[k] = _NEG_INF
-            else:
-                fwd, rev = log_norm[0, t0:t1].sum(), log_norm[1, t0:t1].sum()
-                ratios[k] = loglik[1, r0:r1].sum() - ll_cur + fwd - rev
-            r0, t0 = r1, t1
+        ratios[np.logical_or.reduceat(irreversible, self._threshold_starts)] = _NEG_INF
+        ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
     def draw_latents(self, eta, gammas, rng):
@@ -328,12 +340,15 @@ class _GibbsKernel:
     def draw_coefficients(self, y_star, rng) -> np.ndarray:
         """Exact conjugate draw of the shared coefficients given the latents."""
         b = self.lam_mu + self.dataset.features.T @ y_star
-        return draw_mvn_given_cholesky(self.chol, b, rng)
+        z = rng.standard_normal(b.size)
+        return self.chol_inv.T @ (self.chol_inv @ b + z)
 
     def _check_state(self, beta, gammas, y_star, lowers, uppers):
-        ok = np.all(np.isfinite(beta))
-        ok = ok and all(np.all(np.diff(g) > 0) for g in gammas if g.size > 1)
-        ok = ok and bool(np.all((y_star > lowers) & (y_star < uppers)))
+        ok = (
+            np.isfinite(beta).all()
+            and all((g[1:] > g[:-1]).all() for g in gammas)
+            and ((y_star > lowers) & (y_star < uppers)).all()
+        )
         if not ok:
             raise SamplerPanicError(
                 f"post-sweep invariant violated: beta={np.asarray(beta).tolist()} "

@@ -12,14 +12,13 @@ import pytest
 from scipy import stats
 
 from msprobit.distributions import (
-    Interval,
-    draw_mvn_given_cholesky,
     log_interval_mass,
-    sample_truncated_normal,
     sample_truncated_normal_many,
     std_normal_quantile,
 )
 from msprobit.errors import DegeneracyError
+from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
+from msprobit.sampler import _GibbsKernel
 
 # x -> Phi(x), 50-digit reference rounded to double
 CDF_REFERENCE = {
@@ -104,15 +103,23 @@ def test_quantile_domain():
             std_normal_quantile(bad)
 
 
+def _draws(mean, variance, lower, upper, rng, n):
+    """n draws on one interval, one vectorized call."""
+    full = np.full(n, 1.0)
+    return sample_truncated_normal_many(
+        mean * full, variance, lower * full, upper * full, rng
+    )
+
+
 def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(math.nan, 1.0)
-    iv = Interval(-math.inf, math.inf)
-    assert iv.lower < iv.upper
+    g = np.random.default_rng(0)
+    for lower, upper in [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="index 1"):
+            sample_truncated_normal_many(
+                np.zeros(2), 1.0, np.array([0.0, lower]), np.array([1.0, upper]), g
+            )
+    whole = _draws(0.0, 1.0, -math.inf, math.inf, g, 3)
+    assert np.all(np.isfinite(whole))
 
 
 def test_log_interval_mass_matches_cdf_differences():
@@ -154,20 +161,13 @@ def test_log_interval_mass_stays_finite_past_float_floor():
 
 def test_truncated_normal_reference_means(rng):
     for mean, lo, hi, want in TN_MEAN_REFERENCE:
-        draws = np.array(
-            [
-                sample_truncated_normal(mean, 1.0, (lo, hi), rng)
-                for _ in range(20_000)
-            ]
-        )
+        draws = _draws(mean, 1.0, lo, hi, rng, 20_000)
         assert np.all(draws > lo) and np.all(draws < hi)
         assert draws.mean() == pytest.approx(want, abs=0.02), (mean, lo, hi)
 
 
 def test_truncated_normal_ks_central(rng):
-    draws = np.array(
-        [sample_truncated_normal(2.0, 4.0, (-1.0, 3.0), rng) for _ in range(20_000)]
-    )
+    draws = _draws(2.0, 4.0, -1.0, 3.0, rng, 20_000)
     dist = stats.truncnorm((-1 - 2) / 2, (3 - 2) / 2, loc=2.0, scale=2.0)
     stat, _ = stats.kstest(draws, dist.cdf)
     assert stat < 0.02
@@ -175,9 +175,7 @@ def test_truncated_normal_ks_central(rng):
 
 def test_truncated_normal_far_tail_ks(rng):
     # interval at 8 sigma: inverse-CDF would see mass ~ 6e-16
-    draws = np.array(
-        [sample_truncated_normal(0.0, 1.0, (8.0, 9.0), rng) for _ in range(5_000)]
-    )
+    draws = _draws(0.0, 1.0, 8.0, 9.0, rng, 5_000)
     assert np.all((draws > 8.0) & (draws < 9.0))
 
     def cdf(x):
@@ -192,12 +190,7 @@ def test_truncated_normal_far_tail_ks(rng):
 
 def test_truncated_normal_shifted_tail(rng):
     # mean 10, truncated to the negative axis: 10 sigma from the mean
-    draws = np.array(
-        [
-            sample_truncated_normal(10.0, 1.0, (-math.inf, 0.0), rng)
-            for _ in range(5_000)
-        ]
-    )
+    draws = _draws(10.0, 1.0, -math.inf, 0.0, rng, 5_000)
     assert np.all(draws < 0.0)
     assert draws.mean() == pytest.approx(-0.098093233962511963, abs=0.02)
 
@@ -205,15 +198,21 @@ def test_truncated_normal_shifted_tail(rng):
 def test_truncated_normal_degenerate():
     g = np.random.default_rng(0)
     with pytest.raises(DegeneracyError):
-        sample_truncated_normal(0.0, 1.0, (40.0, 41.0), g)
+        _draws(0.0, 1.0, 40.0, 41.0, g, 1)
 
 
 def test_truncated_normal_rejects_bad_moments():
     g = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(math.nan, 1.0, (0.0, 1.0), g)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 0.0, (0.0, 1.0), g)
+    for mean, variance in [
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (0.0, 0.0),
+        (0.0, -1.0),
+        (0.0, math.inf),
+        (0.0, np.array([1.0, math.nan])),
+    ]:
+        with pytest.raises(ValueError):
+            _draws(mean, variance, 0.0, 1.0, g, 2)
 
 
 def test_vectorized_truncated_normal_matches_marginals(rng):
@@ -240,16 +239,39 @@ def test_vectorized_truncated_normal_names_bad_index():
         sample_truncated_normal_many(means, 1.0, lowers, uppers, g)
 
 
-def test_mvn_from_precision_moments(rng):
-    # precision [[2,1],[1,2]] -> covariance [[2/3,-1/3],[-1/3,2/3]]
-    precision = np.array([[2.0, 1.0], [1.0, 2.0]])
-    mean = np.array([1.0, -2.0])
-    ptm = precision @ mean
-    chol = np.linalg.cholesky(precision)
-    draws = np.array(
-        [draw_mvn_given_cholesky(chol, ptm, rng) for _ in range(40_000)]
+def test_per_element_variance_matches_marginals(rng):
+    # one call, three interleaved laws that differ only in their variance
+    n = 30_000
+    variances = np.tile([0.25, 1.0, 9.0], n // 3)
+    draws = sample_truncated_normal_many(
+        np.full(n, 0.5), variances, np.full(n, -1.0), np.full(n, 2.0), rng
     )
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.02)
+    assert np.all((draws > -1.0) & (draws < 2.0))
+    for k, var in enumerate([0.25, 1.0, 9.0]):
+        sd = math.sqrt(var)
+        dist = stats.truncnorm((-1.0 - 0.5) / sd, (2.0 - 0.5) / sd, loc=0.5, scale=sd)
+        stat, _ = stats.kstest(draws[k::3], dist.cdf)
+        assert stat < 0.02, var
+
+
+def test_mvn_from_precision_moments(rng):
+    # Posterior precision [[2,1],[1,2]] -> covariance [[2/3,-1/3],[-1/3,2/3]]:
+    # X'X = I/2 plus a prior precision of [[1.5,1],[1,1.5]], with the prior
+    # mean chosen so that the posterior mean is (1, -2) at zero latents.
+    s = math.sqrt(0.5)
+    ds = Dataset(
+        features=np.array([[s, 0.0], [0.0, s]]),
+        labels=np.array([1, 2]),
+        scale_ids=np.array([1, 1]),
+        scales=(ScaleSpec(1, 2),),
+    )
+    prior = Prior(mean=np.array([2.4, -3.6]), precision=np.array([[1.5, 1.0], [1.0, 1.5]]))
+    kernel = _GibbsKernel(ds, ChainConfig(prior=prior))
+    y_star = np.zeros(2)
+    draws = np.array(
+        [kernel.draw_coefficients(y_star, rng) for _ in range(40_000)]
+    )
+    np.testing.assert_allclose(draws.mean(axis=0), [1.0, -2.0], atol=0.02)
     cov = np.cov(draws.T)
     np.testing.assert_allclose(
         cov, [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]], atol=0.02
@@ -259,6 +281,12 @@ def test_mvn_from_precision_moments(rng):
 def test_truncated_normal_draw_is_deterministic():
     a = np.random.default_rng(42)
     b = np.random.default_rng(42)
-    xs = [sample_truncated_normal(0.5, 2.0, (0.0, 3.0), a) for _ in range(50)]
-    ys = [sample_truncated_normal(0.5, 2.0, (0.0, 3.0), b) for _ in range(50)]
-    assert xs == ys
+    xs = _draws(0.5, 2.0, 0.0, 3.0, a, 50)
+    ys = _draws(0.5, 2.0, 0.0, 3.0, b, 50)
+    np.testing.assert_array_equal(xs, ys)
+    # a far-tail element consumes extra stream values in index order
+    lowers = np.array([0.0, 8.0, 0.0])
+    xs = sample_truncated_normal_many(np.zeros(3), [1.0, 1.0, 2.0], lowers, lowers + 1.0, a)
+    ys = sample_truncated_normal_many(np.zeros(3), [1.0, 1.0, 2.0], lowers, lowers + 1.0, b)
+    np.testing.assert_array_equal(xs, ys)
+    assert a.random() == b.random()

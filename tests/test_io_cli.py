@@ -20,6 +20,7 @@ from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError
 from msprobit.model import ChainConfig, ScaleSpec
 from msprobit.sampler import run_chain
+from tests.files import read_table, read_truth
 
 
 # -- float formatting ------------------------------------------------------
@@ -147,7 +148,7 @@ def test_standardizer_round_trip(tmp_path):
 def test_truth_round_trip(tmp_path):
     path = str(tmp_path / "t.json")
     io.write_truth(path, np.array([0.5, -1.0]), {2: np.array([-1.0, 1.0])})
-    beta, gammas = io.read_truth(path)
+    beta, gammas = read_truth(path)
     np.testing.assert_array_equal(beta, [0.5, -1.0])
     np.testing.assert_array_equal(gammas[2], [-1.0, 1.0])
 
@@ -155,7 +156,7 @@ def test_truth_round_trip(tmp_path):
 def test_table_round_trip_with_nan(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_table(path, ["a", "b"], [(1, float("nan")), (2, 0.5)])
-    header, rows = io.read_table(path)
+    header, rows = read_table(path)
     assert header == ["a", "b"]
     assert rows[0][1] == "" and rows[1][1] == "0.5"
 
@@ -205,7 +206,7 @@ def test_cli_simulate_outputs(sim_dir):
         str(sim_dir / "dataset.csv"), str(sim_dir / "dataset.scales.json")
     )
     assert ds.num_obs == 60 and len(ds.scales) == 2
-    beta, gammas = io.read_truth(str(sim_dir / "truth.json"))
+    beta, gammas = read_truth(str(sim_dir / "truth.json"))
     assert beta.shape == (3,) and set(gammas) == {1, 2}
 
 
@@ -317,8 +318,8 @@ def test_cli_evaluate_row_counts(sim_dir, tmp_path):
         ]
     )
     assert rc == 0
-    _, long_rows = io.read_table(str(out / "eval_long.csv"))
-    _, diff_rows = io.read_table(str(out / "eval_diff.csv"))
+    _, long_rows = read_table(str(out / "eval_long.csv"))
+    _, diff_rows = read_table(str(out / "eval_diff.csv"))
     # 2 splits x [2 models x 2 sides x (3 + C_s) metrics x 10 draws]
     assert len(long_rows) == 2 * (2 * 2 * 5 * 10 + 2 * 2 * 6 * 10)
     assert len(diff_rows) == 2 * 2 * 6
@@ -424,7 +425,7 @@ def test_cli_simulate_rejects_non_object_config(tmp_path, capsys):
 
 
 def test_cli_predict_rejects_unordered_thresholds(sim_dir, draws_path, tmp_path, capsys):
-    header, rows = io.read_table(draws_path)
+    header, rows = read_table(draws_path)
     lo, hi = header.index("gamma_2_1"), header.index("gamma_2_2")
     rows[3][lo], rows[3][hi] = rows[3][hi], rows[3][lo]
     bad = tmp_path / "swapped.csv"
@@ -488,7 +489,7 @@ def test_cli_fit_with_three_draws_writes_null_mcse(sim_dir, tmp_path):
 def test_read_draws_rejects_malformed_rows(tmp_path, two_scale_dataset):
     good = str(tmp_path / "good.csv")
     io.write_draws(good, _tiny_draws(two_scale_dataset))
-    header, rows = io.read_table(good)
+    header, rows = read_table(good)
     cases = {
         "line 4: empty or non-finite value": rows[:2] + [rows[2][:-1] + [""]],
         "line 4: expected 8 fields, got 7": rows[:2] + [rows[2][:-1]],
@@ -520,12 +521,12 @@ def test_cli_evaluate_with_tied_scores_reports_nan_tau(tmp_path):
     out = tmp_path / "ev"
     assert main(["evaluate", str(tmp_path / "flat.csv"), "--config", config,
                  "--out", str(out)]) == 0
-    _, long_rows = io.read_table(str(out / "eval_long.csv"))
+    _, long_rows = read_table(str(out / "eval_long.csv"))
     undefined = [r for r in long_rows if r[3].startswith(("tau_b_", "harmonic_"))]
     assert len(undefined) == 2 * 2 * 2 * 2 * 5
     assert all(r[5] == "" for r in undefined)
     assert all(r[5] != "" for r in long_rows if r[3].startswith("f1_"))
-    _, diff_rows = io.read_table(str(out / "eval_diff.csv"))
+    _, diff_rows = read_table(str(out / "eval_diff.csv"))
     for row in diff_rows:
         empty = row[2].startswith(("tau_b_", "harmonic_"))
         assert (row[3:] == ["", "", ""]) == empty, row

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,18 @@ def test_chain_config_proposal_lookup():
 def test_chain_config_rejects_unordered_init_gammas():
     with pytest.raises(ConfigError):
         ChainConfig(init_gammas=(np.array([1.0, 0.0]),))
+
+
+def test_chain_config_rejects_non_finite_init_gammas():
+    for bad in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], [math.inf]):
+        with pytest.raises(ConfigError, match="init_gammas must be finite"):
+            ChainConfig(init_gammas=(np.array([0.0]), np.array(bad)))
+
+
+def test_chain_config_rejects_non_finite_init_beta():
+    for bad in ([0.0, math.inf], [math.nan, 1.0], [-math.inf]):
+        with pytest.raises(ConfigError, match="init_beta must be finite"):
+            ChainConfig(init_beta=np.array(bad))
 
 
 def test_evenly_spaced_thresholds():

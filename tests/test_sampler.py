@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from msprobit import sampler
 from msprobit.errors import ConfigError, InitializationError
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.sampler import (
@@ -215,6 +216,58 @@ def test_mh_update_moves_toward_data(two_scale_dataset):
         assert gammas[0][0] < gammas[0][1]
     assert 0 < accepted < 400
     assert abs(gammas[0][0]) < 1.5 and abs(gammas[0][1]) < 1.5
+
+
+def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
+    # three scales with 1, 3 and 2 thresholds on interleaved rows; wide
+    # proposal sds make the truncation bounds bind often
+    g = np.random.default_rng(41)
+    num_classes = (2, 4, 3)
+    scale_ids = g.permutation(np.repeat([1, 2, 3], [10, 16, 12]))
+    labels = np.array([1 + g.integers(num_classes[s - 1]) for s in scale_ids])
+    kernel = _ratio_kernel(labels, scale_ids, num_classes)
+    eta = g.normal(size=labels.size)
+    gammas = [np.array([0.2]), np.array([-1.0, 0.1, 0.3]), np.array([-0.4, 0.5])]
+    sds = [2.0, 1.5, 3.0]
+    seen = []
+    score = kernel.log_acceptance_ratios
+
+    def record(eta, current, proposed, proposal_sds):
+        seen.append(([c.copy() for c in current], [p.copy() for p in proposed]))
+        return score(eta, current, proposed, proposal_sds)
+
+    kernel.log_acceptance_ratios = record
+    sizes = []
+    draw = sampler.sample_truncated_normal_many
+
+    def counted(means, *args):
+        sizes.append(means.size)
+        return draw(means, *args)
+
+    monkeypatch.setattr(sampler, "sample_truncated_normal_many", counted)
+    for _ in range(300):
+        kernel.update_thresholds(eta, gammas, sds, g)
+    assert len(seen) == 300
+    # threshold c of every scale that has one, in one call per position
+    assert sizes == [3, 2, 1] * 300
+    for current, proposed in seen:
+        for cur, prop in zip(current, proposed):
+            assert prop.shape == cur.shape
+            assert np.all(np.isfinite(prop))
+            assert np.all(prop[1:] > prop[:-1])
+            # threshold c lies inside (proposed c-1, current c+1)
+            assert np.all(prop[:-1] < cur[1:])
+
+
+def test_inverse_factor_gives_posterior_covariance(two_scale_dataset):
+    prior = Prior(mean=0.0, precision=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]))
+    kernel = _GibbsKernel(two_scale_dataset, ChainConfig(prior=prior))
+    X = two_scale_dataset.features
+    want = np.linalg.inv(prior.precision_matrix(3) + X.T @ X)
+    np.testing.assert_allclose(
+        kernel.chol_inv.T @ kernel.chol_inv, want, rtol=0, atol=1e-12
+    )
+    assert np.allclose(np.triu(kernel.chol_inv, 1), 0.0)
 
 
 def _one_feature_kernel(features, prior):
