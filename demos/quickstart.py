@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, run_chain, simulate_dataset
+from msprobit import ChainConfig, run_chains, simulate_dataset
 
 rng = np.random.default_rng(7)
 sim = simulate_dataset(2, 150, 4, (1, 2), 1, rng)
@@ -16,7 +16,7 @@ for s in dataset.scales:
     print(f"  scale {s.scale_id}: {s.num_classes} classes, counts {counts.tolist()}")
 
 config = ChainConfig(burn_in=2000, thinning=2, stored_draws=1000, seed=42)
-draws = run_chain(dataset, config)
+draws = run_chains(dataset, config)
 
 print()
 print("coefficients (posterior mean +- sd vs truth):")

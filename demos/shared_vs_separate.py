@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, rmse, run_chain, simulate_dataset
+from msprobit import ChainConfig, rmse, run_chains, simulate_dataset
 
 # min_per_class=8 keeps the threshold draw away from degenerate layouts
 # (a near-empty sliver class leaves the latent scale badly identified)
@@ -14,14 +14,14 @@ pooled = sim.pooled_dataset()
 
 config = ChainConfig(burn_in=2000, thinning=2, stored_draws=500, seed=5)
 
-multi = run_chain(pooled, config)
+multi = run_chains(pooled, config)
 multi_rmse = rmse(multi.beta_draws.mean(axis=0), sim.beta_true)
 
 print("coefficient RMSE of the posterior mean against the truth")
 print(f"  pooled fit ({pooled.num_obs} obs):      {multi_rmse:.4f}")
 
 for s in pooled.scales:
-    single = run_chain(pooled.restrict_to_scale(s.scale_id), config)
+    single = run_chains(pooled.restrict_to_scale(s.scale_id), config)
     err = rmse(single.beta_draws.mean(axis=0), sim.beta_true)
     n = pooled.rows_for_scale(s.scale_id).size
     print(f"  scale {s.scale_id} alone ({n} obs):       {err:.4f}")

@@ -15,7 +15,7 @@ report = evaluate_splits(
     dataset, 2 / 3, 5, config, np.random.default_rng(99)
 )
 
-print(f"{report.num_splits} splits, {report.draws_per_fit} draws per fit")
+print(f"{report.num_splits} splits, {config.stored_draws} draws per fit")
 print(f"{len(report.long_rows)} per-draw metric rows")
 print()
 

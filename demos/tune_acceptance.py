@@ -5,7 +5,7 @@
 import numpy as np
 from dataclasses import replace
 
-from msprobit import ChainConfig, run_chain, simulate_dataset, tune_proposal
+from msprobit import ChainConfig, run_chains, simulate_dataset, tune_proposal
 
 rng = np.random.default_rng(3)
 sim = simulate_dataset(2, 120, 5, (2, 3), 1, rng)
@@ -20,13 +20,13 @@ config = ChainConfig(
     seed=11,
 )
 
-before = run_chain(dataset, config).accept_rate
+before = run_chains(dataset, config).accept_rate
 print("acceptance rates with hand-picked step sizes:")
 for sid, rate in sorted(before.items()):
     print(f"  scale {sid}: sd={config.proposal_sd_for(sid):<6g} rate={rate:.3f}")
 
 tuned = tune_proposal(dataset, config, target_rate=0.234)
-after = run_chain(dataset, replace(config, proposal_sd=tuned)).accept_rate
+after = run_chains(dataset, replace(config, proposal_sd=tuned)).accept_rate
 
 print()
 print("after tuning toward 0.234:")

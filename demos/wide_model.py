@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, Prior, per_draw_rmse, run_chain, simulate_dataset
+from msprobit import ChainConfig, Prior, per_draw_rmse, run_chains, simulate_dataset
 
 rng = np.random.default_rng(8)
 sim = simulate_dataset(3, 40, 48, (1, 3, 3), 5, rng)
@@ -26,10 +26,10 @@ config = ChainConfig(
 
 # recovery metric of the built-in experiments: RMSE of each stored draw
 # against the truth, averaged over the posterior
-multi = run_chain(pooled, config)
+multi = run_chains(pooled, config)
 err_multi = per_draw_rmse(multi.beta_draws, sim.beta_true).mean()
 
-single = run_chain(pooled.restrict_to_scale(2), config)
+single = run_chains(pooled.restrict_to_scale(2), config)
 err_single = per_draw_rmse(single.beta_draws, sim.beta_true).mean()
 
 print(f"posterior coefficient RMSE, pooled fit:      {err_multi:.4f}")

@@ -18,17 +18,12 @@ from .errors import (
     SimulationError,
     StratificationError,
     TuningError,
-    UndefinedCorrelationError,
     ValidationError,
 )
 from .metrics import (
-    ConfusionMatrix,
     EvaluationReport,
-    F1Result,
     evaluate_splits,
-    f1_scores,
     harmonic_mean,
-    kendall_tau_b,
 )
 from .model import (
     ChainConfig,
@@ -42,7 +37,6 @@ from .model import (
 from .sampler import (
     DrawSet,
     mcse_mean,
-    run_chain,
     run_chains,
     tune_proposal,
 )
@@ -61,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig",
     "ConfigError",
-    "ConfusionMatrix",
     "Dataset",
     "DatasetValidationError",
     "DegeneracyError",
@@ -69,7 +62,6 @@ __all__ = [
     "EvaluationReport",
     "ExperimentConfig",
     "ExperimentReport",
-    "F1Result",
     "InitializationError",
     "LinearAlgebraError",
     "MsprobitError",
@@ -81,19 +73,15 @@ __all__ = [
     "SimulationError",
     "StratificationError",
     "TuningError",
-    "UndefinedCorrelationError",
     "ValidationError",
     "default_init",
     "evaluate_splits",
     "evenly_spaced_thresholds",
-    "f1_scores",
     "harmonic_mean",
-    "kendall_tau_b",
     "log_interval_mass",
     "mcse_mean",
     "per_draw_rmse",
     "rmse",
-    "run_chain",
     "run_chains",
     "run_experiment",
     "sample_truncated_normal_many",

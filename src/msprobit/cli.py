@@ -29,9 +29,9 @@ from .metrics import (
     latent_scores,
 )
 from .model import ChainConfig, Dataset
-from .presets import SIM_PRESETS, chain_preset, experiment_preset, preset_names
+from .presets import preset
 from .sampler import DrawSet, mcse_mean, run_chains
-from .simulate import ExperimentConfig, run_experiment, simulate_dataset
+from .simulate import run_experiment, simulate_dataset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,23 +67,27 @@ def _mcse(x: np.ndarray):
     return _json_value(mcse_mean(x)) if x.size >= 4 else None
 
 
-def _config_doc(args) -> dict:
-    """The --config file as a dict, or {} when there is none."""
+def _config_doc(args, part=lambda doc: doc) -> dict:
+    """The --config file as a dict, or part of the --preset document (an
+    experiment config), or {} when there is neither."""
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
+    if args.preset:
+        return part(preset(args.preset))
     return io.read_json_object(args.config) if args.config else {}
 
 
-def _resolve_chain_config(args, doc: dict) -> tuple[ChainConfig, int]:
-    """Merge preset/config-file/flags into one chain configuration.
+def _chain_part(doc: dict) -> dict:
+    return doc["chain"]
 
-    doc is the --config file's object (see _config_doc). Precedence:
-    explicit flags beat the file or preset, which beats defaults.
+
+def _resolve_chain_config(args, doc: dict) -> tuple[ChainConfig, int]:
+    """Merge the config document with the flags into one chain configuration.
+
+    doc is the chain config object (see _config_doc). Precedence: explicit
+    flags beat the document, which beats defaults.
     """
-    if args.preset:
-        config, num_chains = chain_preset(args.preset), 1
-    else:
-        config, num_chains = io.chain_config_from_dict(doc)
+    config, num_chains = io.chain_config_from_dict(doc)
     if args.seed is not None:
         config = replace(config, seed=int(args.seed))
     if args.chains is not None:
@@ -98,63 +102,22 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-_DESIGN_KEYS = (
-    "num_scales",
-    "obs_per_scale",
-    "num_features",
-    "num_thresholds",
-    "min_per_class",
-)
-
-
-def _design(doc: dict, command: str) -> dict:
-    """The simulation design of a simulate or experiment config, every count
-    checked to be an integer. num_thresholds is one count for all scales or
-    a per-scale list; min_per_class defaults to 1."""
-    missing = [k for k in _DESIGN_KEYS if k not in doc and k != "min_per_class"]
-    if missing:
-        raise ConfigError(f"{command} config is missing key {missing[0]!r}")
-    design = {
-        key: io.config_number(doc.get(key, 1), key, integer=True)
-        for key in _DESIGN_KEYS
-        if key != "num_thresholds"
-    }
-    thresholds = doc["num_thresholds"]
-    if isinstance(thresholds, (list, tuple)):
-        design["num_thresholds"] = tuple(
-            io.config_number(t, "num_thresholds", integer=True) for t in thresholds
-        )
-    else:
-        design["num_thresholds"] = (
-            io.config_number(thresholds, "num_thresholds", integer=True),
-        ) * design["num_scales"]
-    return design
-
-
-def _config_seed(doc: dict) -> int:
-    return io.config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
-
-
 # -- simulate --------------------------------------------------------------
 
 
-def cmd_simulate(args):
-    doc = _config_doc(args)
-    if args.preset:
-        if args.preset not in SIM_PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; choose from "
-                f"{', '.join(preset_names())}"
-            )
-        doc = dict(SIM_PRESETS[args.preset])
-    elif not args.config:
-        raise ConfigError("simulate needs --preset or --config")
+def _design_part(doc: dict) -> dict:
+    return {key: doc[key] for key in io.DESIGN_KEYS}
 
-    unknown = sorted(set(doc) - set(_DESIGN_KEYS) - {"seed"})
+
+def cmd_simulate(args):
+    if not (args.preset or args.config):
+        raise ConfigError("simulate needs --preset or --config")
+    doc = _config_doc(args, _design_part)
+    unknown = sorted(set(doc) - set(io.DESIGN_KEYS) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown simulate config key(s): {', '.join(unknown)}")
-    design = _design(doc, "simulate")
-    seed = args.seed if args.seed is not None else _config_seed(doc)
+    design = io.design_from_dict(doc, "simulate")
+    seed = args.seed if args.seed is not None else io.config_seed(doc)
     sim = simulate_dataset(
         design["num_scales"],
         design["obs_per_scale"],
@@ -211,7 +174,7 @@ def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
 
 def cmd_fit(args):
     dataset = _load_dataset(args)
-    config, num_chains = _resolve_chain_config(args, _config_doc(args))
+    config, num_chains = _resolve_chain_config(args, _config_doc(args, _chain_part))
     if args.standardize:
         mean, sd = fit_standardizer(dataset.features)
         dataset = replace(dataset, features=(dataset.features - mean) / sd)
@@ -274,17 +237,12 @@ def cmd_predict(args):
         f"prob_{c}" for c in range(1, scale.num_classes + 1)
     ]
     rows = (
-        [
-            str(i + 1),
-            str(int(dataset.scale_ids[i])),
-            str(int(dataset.labels[i])),
-            io.format_float(rank[i]),
-            str(int(map_class[i])),
-        ]
-        + [io.format_float(v) for v in probs[i]]
-        for i in range(n)
+        (i + 1, sid, label, score, best, *prob)
+        for i, (sid, label, score, best, prob) in enumerate(
+            zip(dataset.scale_ids, dataset.labels, rank, map_class, probs)
+        )
     )
-    io._write_rows(_out_path(args, "predictions.csv"), header, rows)
+    io.write_table(_out_path(args, "predictions.csv"), header, rows)
     print(f"wrote {n} predictions on scale {target}")
 
 
@@ -293,7 +251,7 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     dataset = _load_dataset(args)
-    doc = _config_doc(args)
+    doc = _config_doc(args, _chain_part)
     fraction = io.config_number(doc.pop("split_fraction", 2.0 / 3.0), "split_fraction")
     splits = io.config_number(doc.pop("num_splits", 10), "num_splits", integer=True)
     if args.fraction is not None:
@@ -322,38 +280,10 @@ def cmd_evaluate(args):
 # -- experiment ------------------------------------------------------------
 
 
-def _experiment_config(doc: dict, seed_override) -> ExperimentConfig:
-    allowed = set(_DESIGN_KEYS) | {"replications", "num_chains", "seed", "chain"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
-    if "replications" not in doc:
-        raise ConfigError("experiment config is missing key 'replications'")
-    chain_doc = doc.get("chain", {})
-    if not isinstance(chain_doc, dict):
-        raise ConfigError("chain must be an object")
-    chain_config, chain_nc = io.chain_config_from_dict(chain_doc)
-    return ExperimentConfig(
-        replications=io.config_number(doc["replications"], "replications", integer=True),
-        **_design(doc, "experiment"),
-        chain_config=chain_config,
-        num_chains=io.config_number(
-            doc.get("num_chains", chain_nc), "num_chains", integer=True, minimum=1
-        ),
-        seed=seed_override if seed_override is not None else _config_seed(doc),
-    )
-
-
 def cmd_experiment(args):
-    doc = _config_doc(args)
-    if args.preset:
-        config = experiment_preset(
-            args.preset, seed=args.seed if args.seed is not None else 0
-        )
-    elif args.config:
-        config = _experiment_config(doc, args.seed)
-    else:
+    if not (args.preset or args.config):
         raise ConfigError("experiment needs --preset or --config")
+    config = io.experiment_config_from_dict(_config_doc(args), args.seed)
 
     def progress(r, total):
         print(f"replication {r}/{total} done", file=sys.stderr)

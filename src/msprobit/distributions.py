@@ -60,7 +60,7 @@ def log_interval_mass(lower, upper):
     accurate; arguments with magnitude up to several hundred do not overflow.
     """
     _, a, b = _reflect(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_hi = log_ndtr(b)
         out = log_hi + np.log1p(-np.exp(log_ndtr(a) - log_hi))
     # lower bound of -inf: exp(-inf - finite) = 0, log1p(0) = 0, already right.

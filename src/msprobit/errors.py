@@ -65,7 +65,3 @@ class SimulationError(NumericalError):
 
 class StratificationError(NumericalError):
     """Could not produce a train split covering every (scale, class) cell."""
-
-
-class UndefinedCorrelationError(NumericalError):
-    """Rank correlation undefined (a vector is completely tied)."""

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DatasetValidationError
 from .model import ChainConfig, Dataset, Prior, ScaleSpec, validate_dataset
 from .sampler import DrawSet
+from .simulate import ExperimentConfig
 
 
 def format_float(x) -> str:
@@ -341,6 +342,69 @@ def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
     return config, num_chains
 
 
+DESIGN_KEYS = (
+    "num_scales",
+    "obs_per_scale",
+    "num_features",
+    "num_thresholds",
+    "min_per_class",
+)
+
+
+def design_from_dict(doc: dict, command: str) -> dict:
+    """The simulation design of a simulate or experiment config, every count
+    checked to be an integer. num_thresholds is one count for all scales or
+    a per-scale list; min_per_class defaults to 1."""
+    missing = [k for k in DESIGN_KEYS if k not in doc and k != "min_per_class"]
+    if missing:
+        raise ConfigError(f"{command} config is missing key {missing[0]!r}")
+    design = {
+        key: config_number(doc.get(key, 1), key, integer=True)
+        for key in DESIGN_KEYS
+        if key != "num_thresholds"
+    }
+    thresholds = doc["num_thresholds"]
+    if isinstance(thresholds, (list, tuple)):
+        design["num_thresholds"] = tuple(
+            config_number(t, "num_thresholds", integer=True) for t in thresholds
+        )
+    else:
+        design["num_thresholds"] = (
+            config_number(thresholds, "num_thresholds", integer=True),
+        ) * design["num_scales"]
+    return design
+
+
+def config_seed(doc: dict) -> int:
+    """The seed of a simulate or experiment config, 0 when it has none."""
+    return config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
+
+
+def experiment_config_from_dict(doc: dict, seed_override=None) -> ExperimentConfig:
+    """Build an experiment configuration from a JSON document: the design
+    keys, replications, seed, num_chains and a nested chain object.
+    seed_override, when given, replaces the document's seed."""
+    allowed = set(DESIGN_KEYS) | {"replications", "num_chains", "seed", "chain"}
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
+    if "replications" not in doc:
+        raise ConfigError("experiment config is missing key 'replications'")
+    chain_doc = doc.get("chain", {})
+    if not isinstance(chain_doc, dict):
+        raise ConfigError("chain must be an object")
+    chain_config, chain_nc = chain_config_from_dict(chain_doc)
+    return ExperimentConfig(
+        replications=config_number(doc["replications"], "replications", integer=True),
+        **design_from_dict(doc, "experiment"),
+        chain_config=chain_config,
+        num_chains=config_number(
+            doc.get("num_chains", chain_nc), "num_chains", integer=True, minimum=1
+        ),
+        seed=seed_override if seed_override is not None else config_seed(doc),
+    )
+
+
 def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):
     doc = {
         "mean": [float(v) for v in np.asarray(mean).ravel()],
@@ -356,6 +420,8 @@ def read_standardizer(path: str) -> tuple[np.ndarray, np.ndarray]:
         scale = np.asarray([float(v) for v in doc["scale"]], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad standardizer file: {exc}") from None
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+        raise ConfigError(f"{path}: mean and scale must be finite")
     if mean.shape != scale.shape or np.any(scale <= 0):
         raise ConfigError(f"{path}: mean/scale must match and scale must be > 0")
     return mean, scale

@@ -15,7 +15,7 @@ from itertools import repeat
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, StratificationError, UndefinedCorrelationError
+from .errors import ConfigError, StratificationError
 from .model import ChainConfig, Dataset, ScaleSpec
 from .sampler import DrawSet, run_chains
 
@@ -44,51 +44,14 @@ def confusion_counts(pred, actual, num_classes: int) -> np.ndarray:
     return flat.reshape(m, num_classes, num_classes)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts with actual classes on rows and predicted classes on columns."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError(f"confusion counts must be square, got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("confusion counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @staticmethod
-    def from_labels(pred, actual, num_classes: int) -> "ConfusionMatrix":
-        pred = np.asarray(pred, dtype=int)
-        if pred.ndim != 1:
-            raise ValueError("pred and actual must be equal-length vectors")
-        return ConfusionMatrix(confusion_counts(pred[:, None], actual, num_classes)[0])
-
-
-@dataclass(frozen=True)
-class F1Result:
-    """Per-class F1 with the macro average.
-
-    degenerate flags classes scored 0 by convention because they never
-    appear in predictions (precision undefined) or in the actuals (recall
-    undefined).
-    """
-
-    per_class: np.ndarray
-    macro: float
-    degenerate: np.ndarray
-    confusion: ConfusionMatrix
-
-
 def f1_from_counts(counts: np.ndarray):
     """Per-class F1 (M, C), macro F1 (M,) and the degenerate flags (M, C) of
-    a stack of confusion matrices (M, C, C), under the zero-for-degenerate
-    convention of f1_scores."""
+    a stack of confusion matrices (M, C, C).
+
+    A class with no predicted instances (precision undefined) or no actual
+    instances (recall undefined) gets F1 = 0 and is flagged; the macro
+    average is the unweighted mean over all classes.
+    """
     tp = np.diagonal(counts, axis1=1, axis2=2).astype(float)
     pred_totals = counts.sum(axis=1).astype(float)
     actual_totals = counts.sum(axis=2).astype(float)
@@ -102,27 +65,12 @@ def f1_from_counts(counts: np.ndarray):
     return f1, f1.mean(axis=1), degenerate
 
 
-def f1_scores(pred, actual, num_classes: int) -> F1Result:
-    """Per-class and macro F1 under the zero-for-degenerate convention.
-
-    A class with no predicted instances or no actual instances gets F1 = 0
-    and is flagged; the macro average is the unweighted mean over all
-    classes.
-    """
-    cm = ConfusionMatrix.from_labels(pred, actual, num_classes)
-    per_class, macro, degenerate = f1_from_counts(cm.counts[None])
-    return F1Result(
-        per_class=per_class[0],
-        macro=float(macro[0]),
-        degenerate=degenerate[0],
-        confusion=cm,
-    )
-
-
 def kendall_tau_b_columns(scores, labels) -> np.ndarray:
     """Tau-b of every column of scores (n, M) against one label vector (n,),
     shape (M,), NaN where it is undefined: fewer than 2 rows, all labels
-    tied, or all scores of the column tied.
+    tied, or all scores of the column tied. Over the n0 row pairs, n1 of
+    them tied in score and n2 in label, tau-b is (concordant - discordant)
+    / sqrt((n0 - n1)(n0 - n2)).
 
     Pair counts are exact int64 sums, so each value is bit-identical to a
     brute-force pair enumeration, in O(n log n + C n) per column for C
@@ -176,26 +124,6 @@ def kendall_tau_b_columns(scores, labels) -> np.ndarray:
     pairs = (n0 - n1[defined]).astype(object) * (n0 - n2)
     tau[defined] = net[defined] / np.sqrt(pairs.astype(float))
     return tau
-
-
-def kendall_tau_b(a, b) -> float:
-    """Tie-adjusted rank correlation of two vectors:
-    (concordant - discordant) / sqrt((n0 - ties_a)(n0 - ties_b)) with n0 the
-    number of pairs; the one-column case of kendall_tau_b_columns, raising
-    UndefinedCorrelationError where that gives NaN."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("need at least 2 observations")
-    tau = kendall_tau_b_columns(a[:, None], b)[0]
-    if np.isnan(tau):
-        which = "first" if a.min() == a.max() else "second"
-        raise UndefinedCorrelationError(
-            f"all values tied in the {which} vector; tau_b undefined"
-        )
-    return float(tau)
 
 
 def harmonic_mean(a, b):

@@ -9,7 +9,6 @@ boundary convention: class 1 covers (-inf, g_1], class C covers
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +147,7 @@ class Prior:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Everything run_chain needs besides the data.
+    """Everything run_chains needs besides the data.
 
     proposal_sd is the standard deviation of the threshold random-walk
     proposal, either one value for all scales or a mapping scale_id -> sd.
@@ -209,7 +208,7 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
 
     Returns the dataset unchanged when clean. A feature column that is
     exactly zero in every row is rejected unless allow_zero_columns is set,
-    in which case it is only warned about.
+    in which case it is not checked for.
     """
     violations: list[str] = []
     X, y, sid = raw.features, raw.labels, raw.scale_ids
@@ -250,14 +249,13 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
                 f"on scale {s.scale_id}"
             )
 
-    if n:
+    if n and not allow_zero_columns:
         zero_cols = np.flatnonzero(~X.any(axis=0))
         if zero_cols.size:
-            msg = f"feature columns {zero_cols.tolist()} are constant zero"
-            if allow_zero_columns:
-                warnings.warn(msg)
-            else:
-                violations.append(msg + " (pass allow_zero_columns to override)")
+            violations.append(
+                f"feature columns {zero_cols.tolist()} are constant zero "
+                "(pass allow_zero_columns to override)"
+            )
 
     if violations:
         raise DatasetValidationError(violations)

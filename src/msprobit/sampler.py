@@ -18,7 +18,6 @@ dataset. Every truncated-normal draw goes through
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,34 +94,9 @@ class DrawSet:
                 return g
         raise KeyError(f"no scale with id {scale_id}")
 
-    @staticmethod
-    def concatenate(parts: list["DrawSet"]) -> "DrawSet":
-        first = parts[0]
-        for part in parts[1:]:
-            if part.scales != first.scales:
-                raise ValueError("cannot concatenate DrawSets with different scales")
-        acc: dict[int, int] = {}
-        prop: dict[int, int] = {}
-        for part in parts:
-            for sid in part.proposal_counts:
-                acc[sid] = acc.get(sid, 0) + part.accept_counts[sid]
-                prop[sid] = prop.get(sid, 0) + part.proposal_counts[sid]
-        return DrawSet(
-            beta_draws=np.concatenate([p.beta_draws for p in parts]),
-            gamma_draws=tuple(
-                np.concatenate([p.gamma_draws[k] for p in parts])
-                for k in range(len(first.scales))
-            ),
-            scales=first.scales,
-            chain_ids=np.concatenate([p.chain_ids for p in parts]),
-            iteration_ids=np.concatenate([p.iteration_ids for p in parts]),
-            accept_counts=acc,
-            proposal_counts=prop,
-        )
-
 
 class _GibbsKernel:
-    """The Gibbs sampler for one dataset: run_chain, the tuner and the
+    """The Gibbs sampler for one dataset: run_chains, the tuner and the
     acceptance gate all step it.
 
     A sweep is three blocks, each a method: the thresholds of every scale,
@@ -140,9 +114,7 @@ class _GibbsKernel:
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            validate_dataset(dataset, allow_zero_columns=True)
+        validate_dataset(dataset, allow_zero_columns=True)
         self.dataset = dataset
         self.config = config
         X = dataset.features
@@ -362,79 +334,60 @@ class _GibbsKernel:
         ]
 
 
-def _run_single_chain(
-    dataset: Dataset, config: ChainConfig, chain_id: int, seed_seq
-) -> DrawSet:
+def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> DrawSet:
+    """Run independent chains of burn_in + thinning * stored_draws sweeps,
+    keeping every thinning-th post-burn-in state, chain after chain.
+
+    Chain i consumes child i of SeedSequence(seed), so the result is
+    deterministic given config.seed, and the first K chains of a run do not
+    depend on how many chains follow them. All chains step one kernel.
+    """
+    if int(num_chains) < 1:
+        raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
     kernel = _GibbsKernel(dataset, config)
-    rng = np.random.default_rng(seed_seq)
-    beta, gammas = kernel.initial_state()
+    beta0, gammas0 = kernel.initial_state()
     sds = kernel.proposal_sds()
 
     total = config.total_sweeps
     burn_in = int(config.burn_in)
     thinning = int(config.thinning)
     stored = int(config.stored_draws)
-    p = dataset.num_features
+    num_chains = int(num_chains)
+    size = num_chains * stored
 
-    beta_draws = np.empty((stored, p))
-    gamma_draws = [
-        np.empty((stored, s.num_thresholds)) for s in dataset.scales
-    ]
-    iteration_ids = np.empty(stored, dtype=int)
+    beta_draws = np.empty((size, dataset.num_features))
+    gamma_draws = [np.empty((size, s.num_thresholds)) for s in dataset.scales]
+    iteration_ids = np.empty(size, dtype=int)
     acc_counts = {s.scale_id: 0 for s in dataset.scales}
-    prop_counts = {s.scale_id: 0 for s in dataset.scales}
 
     out = 0
-    for m in range(1, total + 1):
-        try:
-            beta, accepts = kernel.sweep(beta, gammas, sds, rng)
-        except MsprobitError as exc:
-            raise type(exc)(f"sweep {m}: {exc}") from exc
-        for s, acc in zip(dataset.scales, accepts):
-            prop_counts[s.scale_id] += 1
-            acc_counts[s.scale_id] += int(acc)
-        if m > burn_in and (m - burn_in) % thinning == 0:
-            beta_draws[out] = beta
-            for k in range(len(gammas)):
-                gamma_draws[k][out] = gammas[k]
-            iteration_ids[out] = m
-            out += 1
+    children = np.random.SeedSequence(int(config.seed)).spawn(num_chains)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        beta, gammas = beta0, list(gammas0)
+        for m in range(1, total + 1):
+            try:
+                beta, accepts = kernel.sweep(beta, gammas, sds, rng)
+            except MsprobitError as exc:
+                raise type(exc)(f"chain {i}: sweep {m}: {exc}") from exc
+            for s, acc in zip(dataset.scales, accepts):
+                acc_counts[s.scale_id] += int(acc)
+            if m > burn_in and (m - burn_in) % thinning == 0:
+                beta_draws[out] = beta
+                for k in range(len(gammas)):
+                    gamma_draws[k][out] = gammas[k]
+                iteration_ids[out] = m
+                out += 1
 
     return DrawSet(
         beta_draws=beta_draws,
         gamma_draws=tuple(gamma_draws),
         scales=dataset.scales,
-        chain_ids=np.full(stored, chain_id, dtype=int),
+        chain_ids=np.repeat(np.arange(num_chains), stored),
         iteration_ids=iteration_ids,
         accept_counts=acc_counts,
-        proposal_counts=prop_counts,
+        proposal_counts={s.scale_id: num_chains * total for s in dataset.scales},
     )
-
-
-def run_chain(dataset: Dataset, config: ChainConfig) -> DrawSet:
-    """Run one chain: burn_in + thinning * stored_draws sweeps, keeping
-    every thinning-th post-burn-in state. Deterministic given config.seed.
-    """
-    seed_seq = np.random.SeedSequence(int(config.seed)).spawn(1)[0]
-    return _run_single_chain(dataset, config, chain_id=0, seed_seq=seed_seq)
-
-
-def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int) -> DrawSet:
-    """Run independent chains on split sub-streams and concatenate them.
-
-    Chain i consumes child i of SeedSequence(seed), so a single chain here
-    is bit-identical to run_chain with the same config.
-    """
-    if int(num_chains) < 1:
-        raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
-    children = np.random.SeedSequence(int(config.seed)).spawn(int(num_chains))
-    parts = []
-    for i, child in enumerate(children):
-        try:
-            parts.append(_run_single_chain(dataset, config, i, child))
-        except MsprobitError as exc:
-            raise type(exc)(f"chain {i}: {exc}") from exc
-    return DrawSet.concatenate(parts)
 
 
 def mcse_mean(samples: np.ndarray) -> float:

@@ -6,6 +6,7 @@ are pinned here as literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,14 @@ def test_log_interval_mass_no_overflow_at_300():
             np.array([-300.0, 250.0, -1.0]), np.array([-250.0, 300.0, 1.0])
         )
     assert np.all(np.isfinite(vals))
+
+
+def test_log_interval_mass_reversed_interval_is_nan_without_warning():
+    # lower far above upper: no interval, and no numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(log_interval_mass(50.0, -50.0))
+        assert np.isnan(log_interval_mass(np.array([50.0]), np.array([-50.0]))).all()
 
 
 def test_log_interval_mass_stays_finite_past_float_floor():

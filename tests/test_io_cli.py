@@ -19,7 +19,8 @@ from msprobit import io
 from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError
 from msprobit.model import ChainConfig, ScaleSpec
-from msprobit.sampler import run_chain
+from msprobit.presets import preset
+from msprobit.sampler import run_chains
 from tests.files import read_table, read_truth
 
 
@@ -72,7 +73,7 @@ def test_dataset_read_rejects_bad_label(tmp_path, two_scale_dataset):
 def _tiny_draws(two_scale_dataset):
     ds = two_scale_dataset
     config = ChainConfig(burn_in=20, thinning=1, stored_draws=12, seed=3)
-    return run_chain(ds, config)
+    return run_chains(ds, config)
 
 
 def test_draws_round_trip_and_stability(tmp_path, two_scale_dataset):
@@ -413,6 +414,58 @@ def test_cli_predict_rejects_malformed_transform(sim_dir, draws_path, tmp_path, 
          "--transform", str(bad), "--out", str(tmp_path / "o")],
         "invalid JSON",
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"mean": [NaN, 0, 0], "scale": [1, 1, 1]}',
+        '{"mean": [0, 0, 0], "scale": [1, Infinity, 1]}',
+    ],
+)
+def test_cli_predict_rejects_non_finite_transform(
+    sim_dir, draws_path, tmp_path, capsys, text
+):
+    bad = tmp_path / "standardization.json"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    _fails_with_one_line(
+        capsys,
+        ["predict", draws_path, str(sim_dir / "dataset.csv"), "--scale", "1",
+         "--transform", str(bad), "--out", str(out)],
+        "must be finite",
+    )
+    assert not (out / "predictions.csv").exists()
+
+
+def test_preset_lookup_returns_a_fresh_copy():
+    doc = preset("experiment1-desk")
+    doc["replications"] = 1
+    doc["num_thresholds"].append(9)
+    doc["chain"]["proposal_sd"]["1"] = 99.0
+    again = preset("experiment1-desk")
+    assert again["replications"] == 20
+    assert again["num_thresholds"] == [1, 3, 3]
+    assert again["chain"]["proposal_sd"]["1"] == 1.0
+    with pytest.raises(ConfigError, match="choose from experiment1, experiment1-desk"):
+        preset("no-such-preset")
+
+
+def test_cli_preset_is_config_with_its_document(sim_dir, tmp_path):
+    doc = preset("experiment1-desk")
+    design = {key: doc[key] for key in io.DESIGN_KEYS}
+    runs = {
+        "simulate": (["simulate"], design),
+        "fit": (["fit", str(sim_dir / "dataset.csv")], doc["chain"]),
+    }
+    for command, (argv, part) in runs.items():
+        config = _write_json(tmp_path / f"{command}.json", part)
+        by_preset = tmp_path / f"{command}-preset"
+        by_config = tmp_path / f"{command}-config"
+        assert main(argv + ["--preset", "experiment1-desk", "--out", str(by_preset)]) == 0
+        assert main(argv + ["--config", config, "--out", str(by_config)]) == 0
+        for path in sorted(by_preset.iterdir()):
+            assert path.read_bytes() == (by_config / path.name).read_bytes(), path.name
 
 
 def test_cli_simulate_rejects_non_object_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,8 @@ def test_validate_dataset_zero_column_toggle():
     )
     with pytest.raises(DatasetValidationError, match="constant zero"):
         validate_dataset(ds)
-    with pytest.warns(UserWarning, match="constant zero"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert validate_dataset(ds, allow_zero_columns=True) is ds
 
 

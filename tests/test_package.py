@@ -1,6 +1,11 @@
 """The package's public names."""
 
+import ast
+import pathlib
+
 import msprobit
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 
 def test_every_exported_name_resolves():
@@ -9,3 +14,18 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from msprobit import *", namespace)
     assert set(msprobit.__all__) <= set(namespace)
+
+
+def test_demos_import_only_exported_names():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    unexported = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "msprobit":
+                unexported += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name not in msprobit.__all__
+                ]
+    assert not unexported, unexported

@@ -19,7 +19,6 @@ from msprobit.sampler import (
     DrawSet,
     _GibbsKernel,
     mcse_mean,
-    run_chain,
     run_chains,
     tune_proposal,
 )
@@ -331,8 +330,8 @@ def test_draw_latents_respects_intervals(two_scale_dataset, rng):
 
 def test_run_chain_deterministic_and_bookkept(two_scale_dataset):
     cfg = ChainConfig(burn_in=40, thinning=3, stored_draws=30, seed=99)
-    a = run_chain(two_scale_dataset, cfg)
-    b = run_chain(two_scale_dataset, cfg)
+    a = run_chains(two_scale_dataset, cfg)
+    b = run_chains(two_scale_dataset, cfg)
     np.testing.assert_array_equal(a.beta_draws, b.beta_draws)
     for ga, gb in zip(a.gamma_draws, b.gamma_draws):
         np.testing.assert_array_equal(ga, gb)
@@ -350,18 +349,32 @@ def test_run_chain_deterministic_and_bookkept(two_scale_dataset):
 
 def test_every_stored_draw_is_ordered(two_scale_dataset):
     cfg = ChainConfig(burn_in=20, thinning=1, stored_draws=120, seed=5)
-    draws = run_chain(two_scale_dataset, cfg)
+    draws = run_chains(two_scale_dataset, cfg)
     for g in draws.gamma_draws:
         if g.shape[1] > 1:
             assert np.all(np.diff(g, axis=1) > 0)
 
 
-def test_run_chains_single_equals_run_chain(two_scale_dataset):
+def test_run_chains_default_is_one_chain(two_scale_dataset):
     cfg = ChainConfig(burn_in=30, thinning=2, stored_draws=20, seed=17)
-    one = run_chain(two_scale_dataset, cfg)
+    one = run_chains(two_scale_dataset, cfg)
     multi = run_chains(two_scale_dataset, cfg, 1)
     np.testing.assert_array_equal(one.beta_draws, multi.beta_draws)
     np.testing.assert_array_equal(one.iteration_ids, multi.iteration_ids)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_chains_leading_chains_do_not_depend_on_chain_count(two_scale_dataset, k):
+    cfg = ChainConfig(burn_in=30, thinning=2, stored_draws=20, seed=17)
+    fewer = run_chains(two_scale_dataset, cfg, k)
+    more = run_chains(two_scale_dataset, cfg, k + 1)
+    lead = slice(0, len(fewer))
+    np.testing.assert_array_equal(more.beta_draws[lead], fewer.beta_draws)
+    for g_more, g_fewer in zip(more.gamma_draws, fewer.gamma_draws):
+        np.testing.assert_array_equal(g_more[lead], g_fewer)
+    np.testing.assert_array_equal(more.chain_ids[lead], fewer.chain_ids)
+    np.testing.assert_array_equal(more.iteration_ids[lead], fewer.iteration_ids)
+    assert np.all(more.chain_ids[len(fewer):] == k)
 
 
 def test_run_chains_concatenation(two_scale_dataset):
@@ -392,7 +405,7 @@ def test_chain_rejects_empty_scale():
         scales=(ScaleSpec(1, 2), ScaleSpec(2, 3)),
     )
     with pytest.raises((ConfigError, InitializationError)):
-        run_chain(ds, ChainConfig(burn_in=1, thinning=1, stored_draws=1))
+        run_chains(ds, ChainConfig(burn_in=1, thinning=1, stored_draws=1))
 
 
 def test_chain_init_overrides(two_scale_dataset):
@@ -404,11 +417,11 @@ def test_chain_init_overrides(two_scale_dataset):
         init_beta=np.array([5.0, 5.0, 5.0]),
         init_gammas=(np.array([0.0]), np.array([-1.0, 1.0])),
     )
-    draws = run_chain(two_scale_dataset, cfg)
+    draws = run_chains(two_scale_dataset, cfg)
     assert len(draws) == 5
     bad = ChainConfig(burn_in=5, thinning=1, stored_draws=5, init_beta=np.zeros(7))
     with pytest.raises(ConfigError, match="init_beta"):
-        run_chain(two_scale_dataset, bad)
+        run_chains(two_scale_dataset, bad)
 
 
 def test_mcse_mean_scaling(rng):
@@ -427,7 +440,7 @@ def test_tune_proposal_reaches_band(two_scale_dataset):
     check = ChainConfig(
         proposal_sd=tuned, burn_in=500, thinning=1, stored_draws=2500, seed=4
     )
-    rates = run_chain(two_scale_dataset, check).accept_rate
+    rates = run_chains(two_scale_dataset, check).accept_rate
     for sid, rate in rates.items():
         assert 0.18 <= rate <= 0.42, (sid, rate, tuned)
 
