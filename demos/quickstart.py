@@ -7,7 +7,7 @@ from msprobit import ChainConfig, run_chains, simulate_dataset
 
 rng = np.random.default_rng(7)
 sim = simulate_dataset(2, 150, 4, (1, 2), 1, rng)
-dataset = sim.pooled_dataset()
+dataset = sim.dataset
 
 print(f"{dataset.num_obs} observations, {dataset.num_features} features")
 for s in dataset.scales:

@@ -10,7 +10,7 @@ from msprobit import ChainConfig, rmse, run_chains, simulate_dataset
 # (a near-empty sliver class leaves the latent scale badly identified)
 rng = np.random.default_rng(21)
 sim = simulate_dataset(3, 80, 6, (1, 3, 3), 8, rng)
-pooled = sim.pooled_dataset()
+pooled = sim.dataset
 
 config = ChainConfig(burn_in=2000, thinning=2, stored_draws=500, seed=5)
 

@@ -8,7 +8,7 @@ from msprobit import ChainConfig, evaluate_splits, simulate_dataset
 
 rng = np.random.default_rng(13)
 sim = simulate_dataset(2, 90, 4, (1, 2), 2, rng)
-dataset = sim.pooled_dataset()
+dataset = sim.dataset
 
 config = ChainConfig(burn_in=1000, thinning=1, stored_draws=300, seed=2)
 report = evaluate_splits(

@@ -9,7 +9,7 @@ from msprobit import ChainConfig, run_chains, simulate_dataset, tune_proposal
 
 rng = np.random.default_rng(3)
 sim = simulate_dataset(2, 120, 5, (2, 3), 1, rng)
-dataset = sim.pooled_dataset()
+dataset = sim.dataset
 
 # deliberately bad starting step sizes
 config = ChainConfig(

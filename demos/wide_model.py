@@ -8,7 +8,7 @@ from msprobit import ChainConfig, Prior, per_draw_rmse, run_chains, simulate_dat
 
 rng = np.random.default_rng(8)
 sim = simulate_dataset(3, 40, 48, (1, 3, 3), 5, rng)
-pooled = sim.pooled_dataset()
+pooled = sim.dataset
 
 print(f"{pooled.num_features} features, {pooled.num_obs} pooled observations,")
 print(f"{pooled.rows_for_scale(1).size} observations on each scale alone")

@@ -12,7 +12,6 @@ error, 3 filesystem error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -127,17 +126,20 @@ def cmd_simulate(args):
         np.random.default_rng(np.random.SeedSequence(seed)),
     )
 
-    dataset = sim.pooled_dataset()
+    dataset = sim.dataset
     io.write_dataset(
         _out_path(args, "dataset.csv"), _out_path(args, "dataset.scales.json"), dataset
     )
     io.write_truth(
         _out_path(args, "truth.json"),
         sim.beta_true,
-        {s.scale_id: g for s, g in zip(sim.scales, sim.gammas_true)},
-        y_star=np.concatenate(sim.y_star_true),
+        {s.scale_id: g for s, g in zip(dataset.scales, sim.gammas_true)},
+        y_star=sim.y_star_true,
     )
-    print(f"wrote {dataset.num_obs} observations on {len(sim.scales)} scales to {args.out}")
+    print(
+        f"wrote {dataset.num_obs} observations on {len(dataset.scales)} scales "
+        f"to {args.out}"
+    )
 
 
 # -- fit -------------------------------------------------------------------
@@ -186,10 +188,8 @@ def cmd_fit(args):
     print(f"sampling took {elapsed:.1f}s", file=sys.stderr)
 
     io.write_draws(_out_path(args, "draws.csv"), draws)
-    io.atomic_write_text(
-        _out_path(args, "fit_summary.json"),
-        json.dumps(_summary_doc(draws, acceptance=True), indent=2, sort_keys=True)
-        + "\n",
+    io.write_json(
+        _out_path(args, "fit_summary.json"), _summary_doc(draws, acceptance=True)
     )
     rates = ", ".join(
         f"scale {sid}: {rate:.3f}" for sid, rate in sorted(draws.accept_rate.items())
@@ -305,10 +305,7 @@ def cmd_experiment(args):
         {"replication": f.replication, "stage": f.stage, "message": f.message}
         for f in report.failures
     ]
-    io.atomic_write_text(
-        _out_path(args, "experiment_failures.json"),
-        json.dumps(failures, indent=2, sort_keys=True) + "\n",
-    )
+    io.write_json(_out_path(args, "experiment_failures.json"), failures)
     print(
         f"{report.completed_replications}/{config.replications} replications "
         f"completed, {len(report.failures)} failed"
@@ -336,10 +333,7 @@ def cmd_summarize(args):
     )
     print("\n".join(lines))
     if args.out is not None:
-        io.atomic_write_text(
-            _out_path(args, "summary.json"),
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-        )
+        io.write_json(_out_path(args, "summary.json"), doc)
 
 
 # -- parser ----------------------------------------------------------------

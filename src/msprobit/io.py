@@ -23,7 +23,7 @@ from .simulate import ExperimentConfig
 
 def format_float(x) -> str:
     x = float(x)
-    if np.isnan(x):
+    if x != x:  # NaN; faster than np.isnan on a Python float
         return ""
     return "%.17g" % x
 
@@ -37,6 +37,11 @@ def atomic_write_text(path: str, text: str):
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(path: str, doc):
+    """doc as JSON with indent 2 and sorted keys, plus a trailing newline."""
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]):
@@ -97,10 +102,10 @@ def write_dataset(path: str, sidecar_path: str, dataset: Dataset):
         for i in range(dataset.num_obs)
     )
     _write_rows(path, header, rows)
-    sidecar = {
-        "scales": {str(s.scale_id): s.num_classes for s in dataset.scales}
-    }
-    atomic_write_text(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(
+        sidecar_path,
+        {"scales": {str(s.scale_id): s.num_classes for s in dataset.scales}},
+    )
 
 
 def read_dataset(path: str, sidecar_path: str) -> Dataset:
@@ -129,14 +134,20 @@ def read_dataset(path: str, sidecar_path: str) -> Dataset:
 
     sidecar = read_json_object(sidecar_path)
     try:
-        scales = tuple(
-            ScaleSpec(scale_id=int(sid), num_classes=int(c))
-            for sid, c in sorted(sidecar["scales"].items(), key=lambda kv: int(kv[0]))
-        )
+        counts = sorted(sidecar["scales"].items(), key=lambda kv: int(kv[0]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetValidationError(
             [f"bad scale sidecar {sidecar_path}: {exc}"]
         ) from None
+    scales = tuple(
+        ScaleSpec(
+            scale_id=int(sid),
+            num_classes=config_number(
+                c, f"{sidecar_path} scale {sid} class count", integer=True, minimum=2
+            ),
+        )
+        for sid, c in counts
+    )
 
     features = np.asarray(feats, dtype=float).reshape(len(feats), len(feat_names))
     return validate_dataset(
@@ -410,7 +421,7 @@ def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):
         "mean": [float(v) for v in np.asarray(mean).ravel()],
         "scale": [float(v) for v in np.asarray(scale).ravel()],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def read_standardizer(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -437,4 +448,4 @@ def write_truth(path: str, beta: np.ndarray, gammas: dict[int, np.ndarray], y_st
     }
     if y_star is not None:
         doc["y_star"] = [float(v) for v in np.asarray(y_star).ravel()]
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

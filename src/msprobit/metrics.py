@@ -330,23 +330,16 @@ def evaluate_splits(
             train = replace(train, features=(train.features - mean) / sd)
             test = replace(test, features=(test.features - mean) / sd)
 
-        fits: dict[str, DrawSet] = {}
-        fits["multi"] = run_chains(
-            train,
-            replace(chain_config, seed=int(rng.integers(2**63))),
-            num_chains,
-        )
-        for s in dataset.scales:
-            fits[f"single-{s.scale_id}"] = run_chains(
-                train.restrict_to_scale(s.scale_id),
-                replace(chain_config, seed=int(rng.integers(2**63))),
-                num_chains,
+        multi, *singles = [
+            run_chains(
+                data, replace(chain_config, seed=int(rng.integers(2**63))), num_chains
             )
+            for _, data in train.model_grid()
+        ]
 
-        for s in dataset.scales:
+        for s, single in zip(dataset.scales, singles):
             headline: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-            for model_name, model_key in (("multi", "multi"), ("single", f"single-{s.scale_id}")):
-                drawset = fits[model_key]
+            for model_name, drawset in (("multi", multi), ("single", single)):
                 for side, part in (("in", train), ("out", test)):
                     rows_s = part.rows_for_scale(s.scale_id)
                     cell_rows, cell_headline = _side_metric_rows(

@@ -88,6 +88,15 @@ class Dataset:
             scales=(self.scale(scale_id),),
         )
 
+    def model_grid(self) -> list[tuple[str, "Dataset"]]:
+        """The models a multi- versus single-scale comparison fits, in fitting
+        order: "multi" on every row, then "single-<id>" on each scale's rows
+        alone, in scale order."""
+        return [("multi", self)] + [
+            (f"single-{s.scale_id}", self.restrict_to_scale(s.scale_id))
+            for s in self.scales
+        ]
+
     def subset(self, rows: np.ndarray) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
         return Dataset(
@@ -229,6 +238,8 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
         rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
         violations.append(f"non-finite feature values in rows {rows.tolist()}")
 
+    if not raw.scales:
+        violations.append("no scales declared")
     ids = {s.scale_id for s in raw.scales}
     if len(ids) != len(raw.scales):
         violations.append("duplicate scale_id in scales declaration")

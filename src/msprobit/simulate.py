@@ -26,40 +26,16 @@ _THRESHOLD_VARIANCE = 5.0
 class SimTruth:
     """Ground truth and data from one simulation run.
 
-    Per-scale tuples are indexed in scale order; labels[k] is derived from
-    y_star_true[k] by interval lookup against gammas_true[k].
+    dataset holds every scale's rows, scale by scale in scale order.
+    gammas_true[k] holds the thresholds of dataset.scales[k], and
+    y_star_true the latent value of every dataset row; a row's label is the
+    interval lookup of its latent value against its scale's thresholds.
     """
 
+    dataset: Dataset
     beta_true: np.ndarray
     gammas_true: tuple[np.ndarray, ...]
-    y_star_true: tuple[np.ndarray, ...]
-    features: tuple[np.ndarray, ...]
-    labels: tuple[np.ndarray, ...]
-    scales: tuple[ScaleSpec, ...]
-
-    def scale_dataset(self, scale_id: int) -> Dataset:
-        for k, s in enumerate(self.scales):
-            if s.scale_id == scale_id:
-                return Dataset(
-                    features=self.features[k],
-                    labels=self.labels[k],
-                    scale_ids=np.full(self.labels[k].size, scale_id, dtype=int),
-                    scales=(s,),
-                )
-        raise KeyError(f"no scale with id {scale_id}")
-
-    def pooled_dataset(self) -> Dataset:
-        return Dataset(
-            features=np.concatenate(self.features),
-            labels=np.concatenate(self.labels),
-            scale_ids=np.concatenate(
-                [
-                    np.full(y.size, s.scale_id, dtype=int)
-                    for y, s in zip(self.labels, self.scales)
-                ]
-            ),
-            scales=self.scales,
-        )
+    y_star_true: np.ndarray
 
 
 def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -135,12 +111,15 @@ def simulate_dataset(
         scales.append(ScaleSpec(scale_id=s_index + 1, num_classes=num_classes))
 
     return SimTruth(
+        dataset=Dataset(
+            features=np.concatenate(features),
+            labels=np.concatenate(labels),
+            scale_ids=np.repeat([s.scale_id for s in scales], n),
+            scales=scales,
+        ),
         beta_true=beta,
         gammas_true=tuple(gammas),
-        y_star_true=tuple(y_stars),
-        features=tuple(features),
-        labels=tuple(labels),
-        scales=tuple(scales),
+        y_star_true=np.concatenate(y_stars),
     )
 
 
@@ -263,17 +242,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
                 np.random.default_rng(children[0]),
             )
             fits: dict[str, DrawSet] = {}
-            stage = "fit-multi"
-            fits["multi"] = run_chains(
-                sim.pooled_dataset(),
-                replace(config.chain_config, seed=_fit_seed(children[1])),
-                int(config.num_chains),
-            )
-            for k, s in enumerate(sim.scales):
-                stage = f"fit-single-{s.scale_id}"
-                fits[f"single-{s.scale_id}"] = run_chains(
-                    sim.scale_dataset(s.scale_id),
-                    replace(config.chain_config, seed=_fit_seed(children[2 + k])),
+            for (name, data), child in zip(sim.dataset.model_grid(), children[1:]):
+                stage = f"fit-{name}"
+                fits[name] = run_chains(
+                    data,
+                    replace(config.chain_config, seed=_fit_seed(child)),
                     int(config.num_chains),
                 )
             stage = "metrics"
@@ -301,20 +274,14 @@ def _score_replication(r: int, sim: SimTruth, fits: dict[str, DrawSet]):
     summary, ratios, draws = [], [], []
     mean_beta: dict[str, float] = {}
     mean_gamma: dict[tuple[str, int], float] = {}
+    scales = sim.dataset.scales
+    gammas_true = {s.scale_id: g for s, g in zip(scales, sim.gammas_true)}
 
     for model, drawset in fits.items():
         beta_rmse = per_draw_rmse(drawset.beta_draws, sim.beta_true)
         mean_beta[model] = float(beta_rmse.mean())
-        own_scales = (
-            sim.scales
-            if model == "multi"
-            else tuple(s for s in sim.scales if f"single-{s.scale_id}" == model)
-        )
-        for s in own_scales:
-            k = next(i for i, sc in enumerate(sim.scales) if sc is s)
-            gamma_rmse = per_draw_rmse(
-                drawset.gamma_draws_for(s.scale_id), sim.gammas_true[k]
-            )
+        for s, gamma_draws in zip(drawset.scales, drawset.gamma_draws):
+            gamma_rmse = per_draw_rmse(gamma_draws, gammas_true[s.scale_id])
             mean_gamma[(model, s.scale_id)] = float(gamma_rmse.mean())
             draws.extend(
                 (r, model, s.scale_id, "gamma_rmse", d, float(v))
@@ -326,7 +293,7 @@ def _score_replication(r: int, sim: SimTruth, fits: dict[str, DrawSet]):
             )
 
     for model in fits:
-        for s in sim.scales:
+        for s in scales:
             summary.append((r, model, s.scale_id, "beta_rmse", mean_beta[model]))
             summary.append(
                 (
@@ -338,7 +305,7 @@ def _score_replication(r: int, sim: SimTruth, fits: dict[str, DrawSet]):
                 )
             )
 
-    for s in sim.scales:
+    for s in scales:
         single = f"single-{s.scale_id}"
         for metric, lookup in (
             ("beta_rmse", mean_beta.get(single)),

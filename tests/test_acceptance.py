@@ -257,7 +257,7 @@ def test_criterion_06_tuned_acceptance_rates():
             spec["min_per_class"],
             np.random.default_rng(np.random.SeedSequence([20260822, 6])),
         )
-        ds = sim.pooled_dataset()
+        ds = sim.dataset
         base, _ = io.chain_config_from_dict(doc["chain"])
         tuned = tune_proposal(ds, replace(base, seed=60), target_rate=0.234)
         check = replace(
@@ -475,7 +475,7 @@ def test_criterion_10_split_protocol_shape(tmp_path):
             3, 45, 4, (1, 2, 3), 1,
             np.random.default_rng(np.random.SeedSequence([20260822, 10])),
         )
-        ds = sim.pooled_dataset()
+        ds = sim.dataset
         data_path = str(tmp_path / "dataset.csv")
         io.write_dataset(data_path, str(tmp_path / "dataset.scales.json"), ds)
         cfg = tmp_path / "eval.json"

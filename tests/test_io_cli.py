@@ -394,15 +394,37 @@ def _fails_with_one_line(capsys, argv, match):
     assert match in err
 
 
-def test_cli_fit_rejects_malformed_scale_sidecar(sim_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("{bad", "invalid JSON"),
+        ('{"scales": {"1": Infinity, "2": 3}}', "{path} scale 1 class count must be an"),
+        ('{"scales": {"1": 1e400, "2": 3}}', "{path} scale 1 class count must be an"),
+        ('{"scales": {"1": 2.7, "2": 3}}', "{path} scale 1 class count must be an"),
+        ('{"scales": {"1": 2, "2": 1}}', "{path} scale 2 class count must be >= 2"),
+    ],
+    ids=["invalid-json", "infinite", "overflow", "fractional", "one-class"],
+)
+def test_cli_fit_rejects_malformed_scale_sidecar(sim_dir, tmp_path, capsys, text, match):
     bad = tmp_path / "bad.scales.json"
-    bad.write_text("{bad")
+    bad.write_text(text)
     _fails_with_one_line(
         capsys,
         ["fit", str(sim_dir / "dataset.csv"), "--scales", str(bad),
          "--out", str(tmp_path / "o")],
-        "invalid JSON",
+        match.format(path=bad),
     )
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_cli_rejects_dataset_without_scales(tmp_path, capsys, command):
+    (tmp_path / "empty.csv").write_text("scale_id,label,f1\n")
+    _write_json(tmp_path / "empty.scales.json", {"scales": {}})
+    capsys.readouterr()
+    assert main([command, str(tmp_path / "empty.csv"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no scales declared" in err, err
+    assert "Traceback" not in err
 
 
 def test_cli_predict_rejects_malformed_transform(sim_dir, draws_path, tmp_path, capsys):

@@ -201,3 +201,15 @@ def test_default_init_ordering_always_strict():
     )
     _, gammas = default_init(ds, Prior())
     assert np.all(np.diff(gammas[0]) > 0)
+
+
+def test_model_grid_is_multi_then_each_scale(two_scale_dataset):
+    ds = two_scale_dataset
+    grid = ds.model_grid()
+    assert [name for name, _ in grid] == ["multi", "single-1", "single-2"]
+    assert grid[0][1] is ds
+    for (_, part), s in zip(grid[1:], ds.scales):
+        rows = ds.rows_for_scale(s.scale_id)
+        assert part.scales == (s,)
+        np.testing.assert_array_equal(part.features, ds.features[rows])
+        np.testing.assert_array_equal(part.labels, ds.labels[rows])

@@ -1,11 +1,17 @@
 """The package's public names."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import msprobit
 
-DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +35,15 @@ def test_demos_import_only_exported_names():
                     if alias.name not in msprobit.__all__
                 ]
     assert not unexported, unexported
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import msprobit.simulate as sim_mod
-from msprobit.errors import ConfigError, SimulationError
+from msprobit.errors import ConfigError, SamplerPanicError, SimulationError
 from msprobit.model import ChainConfig
 from msprobit.simulate import (
     ExperimentConfig,
@@ -24,18 +24,23 @@ def test_simulated_shapes_and_invariants(rng):
     for g in sim.gammas_true:
         if g.size > 1:
             assert np.all(np.diff(g) > 0)
-    pooled = sim.pooled_dataset()
+    pooled = sim.dataset
     assert pooled.num_obs == 150
     assert pooled.num_features == 4
-    for k, s in enumerate(sim.scales):
-        ds = sim.scale_dataset(s.scale_id)
-        assert ds.num_obs == 50
+    assert sim.y_star_true.shape == (150,)
+    # rows come scale by scale
+    np.testing.assert_array_equal(pooled.scale_ids, np.repeat([1, 2, 3], 50))
+    assert [s.num_classes for s in pooled.scales] == [2, 4, 4]
+    for k, s in enumerate(pooled.scales):
+        rows = pooled.rows_for_scale(s.scale_id)
+        assert rows.size == 50
+        labels = pooled.labels[rows]
         # every class has at least min_per_class instances
-        counts = np.bincount(ds.labels, minlength=s.num_classes + 1)[1:]
+        counts = np.bincount(labels, minlength=s.num_classes + 1)[1:]
         assert np.all(counts >= 2)
         # labels agree with interval lookup of the stored latents
         np.testing.assert_array_equal(
-            ds.labels, labels_from_latent(sim.y_star_true[k], sim.gammas_true[k])
+            labels, labels_from_latent(sim.y_star_true[rows], sim.gammas_true[k])
         )
 
 
@@ -56,8 +61,8 @@ def test_simulate_deterministic():
     a = simulate_dataset(2, 30, 3, (1, 2), 1, np.random.default_rng(8))
     b = simulate_dataset(2, 30, 3, (1, 2), 1, np.random.default_rng(8))
     np.testing.assert_array_equal(a.beta_true, b.beta_true)
-    np.testing.assert_array_equal(a.features[0], b.features[0])
-    np.testing.assert_array_equal(a.labels[1], b.labels[1])
+    np.testing.assert_array_equal(a.dataset.features, b.dataset.features)
+    np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
 
 
 def test_simulate_validates_parameters(rng):
@@ -204,3 +209,23 @@ def test_experiment_failure_census(monkeypatch):
     failed = {f.replication for f in report.failures}
     present = {row[0] for row in report.summary_rows}
     assert failed.isdisjoint(present)
+
+
+@pytest.mark.parametrize("failing", ["multi", "single-2"])
+def test_experiment_failure_census_names_the_failed_fit(monkeypatch, failing):
+    real_run_chains = sim_mod.run_chains
+
+    def run_chains(dataset, config, num_chains=1):
+        scale_ids = [s.scale_id for s in dataset.scales]
+        if failing == ("multi" if len(scale_ids) > 1 else f"single-{scale_ids[0]}"):
+            raise SamplerPanicError("injected failure")
+        return real_run_chains(dataset, config, num_chains)
+
+    monkeypatch.setattr(sim_mod, "run_chains", run_chains)
+    report = run_experiment(_tiny_experiment(replications=2))
+    assert [(f.replication, f.stage, f.message) for f in report.failures] == [
+        (1, f"fit-{failing}", "injected failure"),
+        (2, f"fit-{failing}", "injected failure"),
+    ]
+    assert report.completed_replications == 0
+    assert report.summary_rows == report.ratio_rows == report.draw_rows == []
