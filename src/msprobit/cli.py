@@ -145,21 +145,21 @@ def cmd_simulate(args):
 # -- fit -------------------------------------------------------------------
 
 
+def _moments(draws: np.ndarray) -> dict:
+    return {"mean": draws.mean(axis=0).tolist(), "sd": draws.std(axis=0).tolist()}
+
+
 def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
     beta = draws.beta_draws
     doc = {
         "num_draws": len(draws),
         "num_chains": int(np.unique(draws.chain_ids).size),
         "beta": {
-            "mean": [float(v) for v in beta.mean(axis=0)],
-            "sd": [float(v) for v in beta.std(axis=0)],
+            **_moments(beta),
             "mcse": [_mcse(beta[:, j]) for j in range(beta.shape[1])],
         },
         "gamma": {
-            str(s.scale_id): {
-                "mean": [float(v) for v in draws.gamma_draws_for(s.scale_id).mean(axis=0)],
-                "sd": [float(v) for v in draws.gamma_draws_for(s.scale_id).std(axis=0)],
-            }
+            str(s.scale_id): _moments(draws.gamma_draws_for(s.scale_id))
             for s in draws.scales
         },
         # 1-based coefficient indices from most to least certain

@@ -23,10 +23,7 @@ class DatasetValidationError(ValidationError):
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
-        msg = "dataset validation failed:\n" + "\n".join(
-            f"  - {v}" for v in self.violations
-        )
-        super().__init__(msg)
+        super().__init__("dataset validation failed: " + "; ".join(self.violations))
 
 
 class ConfigError(ValidationError):

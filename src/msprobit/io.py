@@ -44,13 +44,6 @@ def write_json(path: str, doc):
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def read_json_object(path: str) -> dict:
     """Parse a JSON file that must hold one object; ConfigError otherwise."""
     with open(path) as fh:
@@ -63,9 +56,9 @@ def read_json_object(path: str) -> dict:
     return doc
 
 
-def config_number(value, key: str, *, integer: bool = False, minimum=None):
+def config_number(value, key: str, *, integer: bool = False, minimum=None, maximum=None):
     """A JSON config value as a finite float, or as an int with integer=True,
-    of at least minimum; a ConfigError naming key otherwise.
+    between minimum and maximum; a ConfigError naming key otherwise.
 
     Strings and booleans are rejected rather than coerced, and so is a count
     with a fractional part such as 1.5.
@@ -85,6 +78,8 @@ def config_number(value, key: str, *, integer: bool = False, minimum=None):
         raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
     if minimum is not None and number < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {number}")
     return number
 
 
@@ -96,12 +91,9 @@ def write_dataset(path: str, sidecar_path: str, dataset: Dataset):
     scale_id to its class count."""
     p = dataset.num_features
     header = ["scale_id", "label"] + [f"f{j}" for j in range(1, p + 1)]
-    rows = (
-        [str(int(dataset.scale_ids[i])), str(int(dataset.labels[i]))]
-        + [format_float(v) for v in dataset.features[i]]
-        for i in range(dataset.num_obs)
-    )
-    _write_rows(path, header, rows)
+    columns = [dataset.scale_ids.tolist(), dataset.labels.tolist(),
+               *dataset.features.T.tolist()]
+    write_table(path, header, zip(*columns))
     write_json(
         sidecar_path,
         {"scales": {str(s.scale_id): s.num_classes for s in dataset.scales}},
@@ -124,10 +116,10 @@ def read_dataset(path: str, sidecar_path: str) -> Dataset:
                     [f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"]
                 )
             try:
-                scale_ids.append(int(row[0]))
-                labels.append(int(row[1]))
+                scale_ids.append(np.int64(row[0]))
+                labels.append(np.int64(row[1]))
                 feats.append([parse_float(v) for v in row[2:]])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DatasetValidationError(
                     [f"{path} line {ln}: {exc}"]
                 ) from None
@@ -143,7 +135,8 @@ def read_dataset(path: str, sidecar_path: str) -> Dataset:
         ScaleSpec(
             scale_id=int(sid),
             num_classes=config_number(
-                c, f"{sidecar_path} scale {sid} class count", integer=True, minimum=2
+                c, f"{sidecar_path} scale {sid} class count",
+                integer=True, minimum=2, maximum=np.iinfo(np.int64).max,
             ),
         )
         for sid, c in counts
@@ -179,21 +172,9 @@ def write_draws(path: str, draws: DrawSet):
         + [f"beta_{j}" for j in range(1, p + 1)]
         + gamma_column_names(draws.scales)
     )
-    gamma_mat = (
-        np.concatenate(draws.gamma_draws, axis=1)
-        if draws.gamma_draws
-        else np.empty((len(draws), 0))
-    )
-
-    def rows():
-        for m in range(len(draws)):
-            yield (
-                [str(int(draws.chain_ids[m])), str(int(draws.iteration_ids[m]))]
-                + [format_float(v) for v in draws.beta_draws[m]]
-                + [format_float(v) for v in gamma_mat[m]]
-            )
-
-    _write_rows(path, header, rows())
+    columns = [draws.chain_ids.tolist(), draws.iteration_ids.tolist(),
+               *draws.beta_draws.T.tolist(), *draws.threshold_draws.T.tolist()]
+    write_table(path, header, zip(*columns))
 
 
 def read_draws(path: str) -> DrawSet:
@@ -226,37 +207,37 @@ def read_draws(path: str) -> DrawSet:
         )
     if not data:
         raise ConfigError(f"{path}: no draw rows")
+    ids, values = [], []
     for ln, row in enumerate(data, start=2):
         if len(row) != len(header):
             raise ConfigError(
                 f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
             )
-    try:
-        chain_ids = np.array([int(r[0]) for r in data], dtype=int)
-        iteration_ids = np.array([int(r[1]) for r in data], dtype=int)
-        values = np.array([[parse_float(v) for v in r[2:]] for r in data], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        try:
+            ids.append((np.int64(row[0]), np.int64(row[1])))
+            values.append([parse_float(v) for v in row[2:]])
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path} line {ln}: {exc}") from None
+    chain_ids, iteration_ids = np.array(ids, dtype=int).T
+    values = np.array(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path} line {bad[0] + 2}: empty or non-finite value")
 
-    beta = np.ascontiguousarray(values[:, :p])
-    gammas = []
-    off = p
-    for s in scales:
-        g = np.ascontiguousarray(values[:, off : off + s.num_thresholds])
-        bad = np.flatnonzero(np.any(np.diff(g, axis=1) <= 0, axis=1))
-        if bad.size:
-            raise ConfigError(
-                f"{path} line {bad[0] + 2}: thresholds of scale {s.scale_id} "
-                "are not strictly increasing"
-            )
-        gammas.append(g)
-        off += s.num_thresholds
+    # neighbouring thresholds of one scale must increase; name the first
+    # scale that breaks this and its first row that does
+    scale_of = np.repeat(np.arange(len(scales)), [s.num_thresholds for s in scales])
+    within = scale_of[1:] == scale_of[:-1]
+    rows, cols = np.nonzero((np.diff(values[:, p:], axis=1) <= 0) & within)
+    if rows.size:
+        k = scale_of[cols].min()
+        raise ConfigError(
+            f"{path} line {rows[scale_of[cols] == k].min() + 2}: thresholds "
+            f"of scale {scales[k].scale_id} are not strictly increasing"
+        )
     return DrawSet(
-        beta_draws=beta,
-        gamma_draws=tuple(gammas),
+        beta_draws=np.ascontiguousarray(values[:, :p]),
+        threshold_draws=np.ascontiguousarray(values[:, p:]),
         scales=scales,
         chain_ids=chain_ids,
         iteration_ids=iteration_ids,
@@ -283,7 +264,11 @@ def _format_cell(v) -> str:
 
 
 def write_table(path: str, header: list[str], rows: Iterable[tuple]):
-    _write_rows(path, header, ([_format_cell(v) for v in row] for row in rows))
+    """A CSV table: strings as they are, ints with str, floats with
+    format_float."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # -- configs ---------------------------------------------------------------
@@ -426,13 +411,17 @@ def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):
 
 def read_standardizer(path: str) -> tuple[np.ndarray, np.ndarray]:
     doc = read_json_object(path)
-    try:
-        mean = np.asarray([float(v) for v in doc["mean"]], dtype=float)
-        scale = np.asarray([float(v) for v in doc["scale"]], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad standardizer file: {exc}") from None
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
-        raise ConfigError(f"{path}: mean and scale must be finite")
+    arrays = []
+    for key in ("mean", "scale"):
+        try:
+            arrays.append(np.asarray([float(v) for v in doc[key]], dtype=float))
+        except OverflowError:  # an integer beyond the float range
+            arrays.append(np.array([np.inf]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad standardizer file: {exc}") from None
+        if not np.all(np.isfinite(arrays[-1])):
+            raise ConfigError(f"{path}: {key} must be finite")
+    mean, scale = arrays
     if mean.shape != scale.shape or np.any(scale <= 0):
         raise ConfigError(f"{path}: mean/scale must match and scale must be > 0")
     return mean, scale

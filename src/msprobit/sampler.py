@@ -1,18 +1,20 @@
 """Three-block Gibbs sampler for multi-scale ordinal probit.
 
-Each sweep updates, in order: the per-scale thresholds (blocked random-walk
-Metropolis-Hastings with sequential truncated-normal proposals), the
-augmented latents (exact truncated-normal conditionals), and the shared
-coefficients (conjugate Gaussian). The threshold move integrates the
-latents out, so its acceptance ratio depends only on the observed labels;
-the latent block immediately afterwards redraws every latent under the
-accepted thresholds. Both blocks read a row's class interval from one flat
-array of the class edges of all scales, and the proposal is drawn into
-the same array position by position: threshold c of every scale in one
-vector call, for c = 1, 2, .... The coefficient draw multiplies by the
-inverse Cholesky factor of the posterior precision, computed once per
-dataset. Every truncated-normal draw goes through
-``sample_truncated_normal_many``.
+The sampler state is the coefficient vector beta (p,) and one flat vector
+of thresholds (T,): every scale's thresholds, scale by scale in scale
+order, the column order of a draws file. Each sweep updates, in order: the
+thresholds (one blocked random-walk Metropolis-Hastings move per scale
+with sequential truncated-normal proposals), the augmented latents (exact
+truncated-normal conditionals), and the shared coefficients (conjugate
+Gaussian). The threshold move integrates the latents out, so its
+acceptance ratio depends only on the observed labels; the latent block
+immediately afterwards redraws every latent under the accepted
+thresholds. Both blocks read a row's class interval from one flat array
+of the class edges of all scales, and the proposal is drawn into the same
+array position by position: threshold c of every scale in one vector
+call, for c = 1, 2, .... The coefficient draw multiplies by the inverse
+Cholesky factor of the posterior precision, computed once per dataset.
+Every truncated-normal draw goes through ``sample_truncated_normal_many``.
 """
 
 from __future__ import annotations
@@ -46,14 +48,15 @@ _NEG_INF = float("-inf")
 class DrawSet:
     """Stored posterior draws from one or more chains.
 
-    beta_draws has shape (M, p); gamma_draws[k] has shape (M, C_k - 1) and
-    belongs to scales[k]. chain_ids and iteration_ids record provenance per
-    stored draw. Acceptance bookkeeping keeps raw counts so the reported
-    rate is exactly accepted / proposed.
+    beta_draws has shape (M, p) and threshold_draws (M, T): row m holds the
+    thresholds of every scale, scale by scale in the order of scales, as
+    in the sampler state and the draws file. chain_ids and iteration_ids
+    record provenance per stored draw. Acceptance bookkeeping keeps raw
+    counts so the reported rate is exactly accepted / proposed.
     """
 
     beta_draws: np.ndarray
-    gamma_draws: tuple[np.ndarray, ...]
+    threshold_draws: np.ndarray
     scales: tuple[ScaleSpec, ...]
     chain_ids: np.ndarray
     iteration_ids: np.ndarray
@@ -62,16 +65,13 @@ class DrawSet:
 
     def __post_init__(self):
         m = self.beta_draws.shape[0]
-        if len(self.gamma_draws) != len(self.scales):
-            raise ValueError("gamma_draws and scales disagree on scale count")
-        for g, s in zip(self.gamma_draws, self.scales):
-            if g.shape != (m, s.num_thresholds):
-                raise ValueError(
-                    f"gamma draws for scale {s.scale_id} have shape {g.shape}, "
-                    f"expected ({m}, {s.num_thresholds})"
-                )
-        if self.chain_ids.shape != (m,) or self.iteration_ids.shape != (m,):
-            raise ValueError("provenance arrays must have one entry per draw")
+        t = sum(s.num_thresholds for s in self.scales)
+        got = (self.threshold_draws.shape, self.chain_ids.shape, self.iteration_ids.shape)
+        if got != ((m, t), (m,), (m,)):
+            raise ValueError(
+                f"threshold, chain and iteration arrays of shapes {got} do not "
+                f"fit {m} draws of {t} thresholds"
+            )
 
     def __len__(self) -> int:
         return self.beta_draws.shape[0]
@@ -89,9 +89,14 @@ class DrawSet:
         }
 
     def gamma_draws_for(self, scale_id: int) -> np.ndarray:
-        for g, s in zip(self.gamma_draws, self.scales):
+        """The (M, C_k - 1) threshold draws of one scale, a contiguous copy."""
+        start = 0
+        for s in self.scales:
             if s.scale_id == scale_id:
-                return g
+                return np.ascontiguousarray(
+                    self.threshold_draws[:, start : start + s.num_thresholds]
+                )
+            start += s.num_thresholds
         raise KeyError(f"no scale with id {scale_id}")
 
 
@@ -99,18 +104,19 @@ class _GibbsKernel:
     """The Gibbs sampler for one dataset: run_chains, the tuner and the
     acceptance gate all step it.
 
-    A sweep is three blocks, each a method: the thresholds of every scale,
-    the latents, the coefficients. The posterior precision of the
-    coefficients never changes across sweeps, so the inverse of its
-    Cholesky factor is computed once and a draw is two small products.
-    The class edges of all scales live in one flat array, (-inf,
-    thresholds, +inf) per scale, followed by the same layout for a
-    proposal, and each row holds the index of its lower and upper edge in
-    it. The threshold proposal is drawn position by position into the
-    proposal half, threshold c of every scale in one call. The latent
-    draw reads a row's interval from the array, and the threshold move
-    reads both the current and the proposed intervals of all rows, and
-    every threshold's neighbours, from it too.
+    The state is beta (p,) plus thresholds (T,), every scale's thresholds
+    in one flat vector, scale by scale. A sweep is three blocks, each a
+    method: the thresholds of every scale, the latents, the coefficients.
+    The posterior precision of the coefficients never changes across
+    sweeps, so the inverse of its Cholesky factor is computed once and a
+    draw is two small products. The class edges of all scales live in one
+    flat array, (-inf, thresholds, +inf) per scale, followed by the same
+    layout for a proposal, and each row holds the index of its lower and
+    upper edge in it. The threshold proposal is drawn position by position
+    into the proposal half, threshold c of every scale in one call. The
+    latent draw reads a row's interval from the array, and the threshold
+    move reads both the current and the proposed intervals of all rows,
+    and every threshold's neighbours, from it too.
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
@@ -139,7 +145,11 @@ class _GibbsKernel:
                 raise ConfigError(
                     f"scale {s.scale_id} declared but has no observations"
                 )
-        self._num_thresholds = [s.num_thresholds for s in dataset.scales]
+        num_thresholds = [s.num_thresholds for s in dataset.scales]
+        # the scale index of every threshold of the flat state
+        self._threshold_scale = np.repeat(np.arange(len(dataset.scales)), num_thresholds)
+        # True between neighbouring thresholds of different scales
+        self._scale_breaks = np.diff(self._threshold_scale) != 0
         offsets = np.cumsum([0] + [s.num_classes + 1 for s in dataset.scales])
         width = offsets[-1]
         # the current edges fill [0, width), a proposal's [width, 2 * width)
@@ -149,15 +159,11 @@ class _GibbsKernel:
         self._threshold_pos = np.concatenate(
             [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, dataset.scales)]
         )
-        self._proposed_slices = [
-            slice(width + o + 1, width + o + k + 1)
-            for o, k in zip(starts, self._num_thresholds)
-        ]
         # Proposal step c draws threshold c of every scale that has one,
         # around its current edge, inside (proposed c-1, current c+1).
         self._proposal_steps = []
-        for c in range(1, max(self._num_thresholds) + 1):
-            scales = np.flatnonzero(np.array(self._num_thresholds) >= c)
+        for c in range(1, max(num_thresholds) + 1):
+            scales = np.flatnonzero(np.array(num_thresholds) >= c)
             current = starts[scales] + c
             self._proposal_steps.append(
                 (current, current + width - 1, current + 1, current + width, scales)
@@ -175,27 +181,29 @@ class _GibbsKernel:
         self._label_lower = self._lower_pos[order] + both
         self._label_upper = self._label_lower + 1
         tpos = self._threshold_pos
-        self._threshold_slots = (tpos + both).ravel()
+        self._threshold_slots = tpos + both
         # threshold t is proposed inside (proposed t-1, current t+1) and
         # would be drawn back inside (current t-1, proposed t+1)
         self._below = tpos - 1 + both[::-1]
         self._above = tpos + 1 + both
         self._row_starts = np.cumsum([0] + [rows.size for rows in self.scale_rows[:-1]])
-        self._threshold_starts = np.cumsum([0] + self._num_thresholds[:-1])
+        self._threshold_starts = np.cumsum([0] + num_thresholds[:-1])
 
     def initial_state(self):
+        """(beta, thresholds): config.init_beta and init_gammas where set,
+        default_init where not, the per-scale thresholds flattened."""
         config, dataset = self.config, self.dataset
+        if config.init_beta is None or config.init_gammas is None:
+            beta, gammas = default_init(dataset, config.prior)
         if config.init_beta is not None:
-            beta = np.asarray(config.init_beta, dtype=float).copy()
+            beta = np.asarray(config.init_beta, dtype=float)
             if beta.shape != (dataset.num_features,):
                 raise ConfigError(
                     f"init_beta shape {beta.shape} does not match "
                     f"p={dataset.num_features}"
                 )
-        else:
-            beta = default_init(dataset, config.prior)[0]
         if config.init_gammas is not None:
-            gammas = [np.asarray(g, dtype=float).copy() for g in config.init_gammas]
+            gammas = [np.asarray(g, dtype=float) for g in config.init_gammas]
             if len(gammas) != len(dataset.scales):
                 raise ConfigError(
                     f"init_gammas has {len(gammas)} vectors for "
@@ -207,22 +215,24 @@ class _GibbsKernel:
                         f"init_gammas for scale {s.scale_id} has shape "
                         f"{g.shape}, expected ({s.num_thresholds},)"
                     )
-        else:
-            gammas = [g.copy() for g in default_init(dataset, config.prior)[1]]
-        return beta, gammas
+        return beta, np.concatenate(gammas)
 
-    def sweep(self, beta, gammas, proposal_sds, rng):
-        """One full sweep; mutates gammas in place, returns (beta, accepts)."""
+    def _per_scale(self, thresholds) -> list:
+        """The flat thresholds as one list per scale, for messages."""
+        return [g.tolist() for g in np.split(thresholds, self._threshold_starts[1:])]
+
+    def sweep(self, beta, thresholds, proposal_sds, rng):
+        """One full sweep; returns (beta, thresholds, accepts)."""
         eta = self.dataset.features @ beta
-        accepts = self.update_thresholds(eta, gammas, proposal_sds, rng)
-        y_star, lowers, uppers = self.draw_latents(eta, gammas, rng)
+        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rng)
+        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rng)
         beta = self.draw_coefficients(y_star, rng)
-        self._check_state(beta, gammas, y_star, lowers, uppers)
-        return beta, accepts
+        self._check_state(beta, thresholds, y_star, lowers, uppers)
+        return beta, thresholds, accepts
 
-    def update_thresholds(self, eta, gammas, proposal_sds, rng) -> list[bool]:
+    def update_thresholds(self, eta, thresholds, proposal_sds, rng):
         """One blocked MH move per scale given the linear predictor eta;
-        replaces gammas[k] in place and returns the accept flags. The move
+        returns the new thresholds and the accept flags. The move
         integrates the latents out, so it sees only the labels.
 
         Threshold c is proposed from a normal around its current value
@@ -232,15 +242,15 @@ class _GibbsKernel:
         proposal sequential; then one call draws every accept uniform.
         """
         edges = self._edges
-        edges[self._threshold_pos] = np.concatenate(gammas)
+        edges[self._threshold_pos] = thresholds
         variances = np.square(proposal_sds)
         for current, below, above, slots, scales in self._proposal_steps:
             edges[slots] = sample_truncated_normal_many(
                 edges[current], variances[scales], edges[below], edges[above], rng
             )
-        uniforms = rng.random(len(gammas)).tolist()
-        proposed = [edges[s] for s in self._proposed_slices]
-        log_ratios = self.log_acceptance_ratios(eta, gammas, proposed, proposal_sds)
+        uniforms = rng.random(len(self.dataset.scales)).tolist()
+        proposed = edges[self._threshold_slots[1]]
+        log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, proposal_sds)
         accepts = []
         for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
             if math.isnan(log_ratio) or log_ratio == math.inf:
@@ -248,21 +258,21 @@ class _GibbsKernel:
                 raise SamplerPanicError(
                     "zero-probability or undefined state in threshold update: "
                     f"scale={self.dataset.scales[k].scale_id} "
-                    f"current={gammas[k].tolist()} "
-                    f"proposed={proposed[k].tolist()} log_ratio={log_ratio} "
+                    f"current={self._per_scale(thresholds)[k]} "
+                    f"proposed={self._per_scale(proposed)[k]} log_ratio={log_ratio} "
                     f"eta_range=({eta_k.min()}, {eta_k.max()})"
                 )
-            accepted = log_ratio >= 0.0 or (
-                log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio
+            accepts.append(
+                log_ratio >= 0.0
+                or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
             )
-            if accepted:
-                gammas[k] = proposed[k].copy()
-            accepts.append(accepted)
-        return accepts
+        taken = np.array(accepts)[self._threshold_scale]
+        return np.where(taken, proposed, thresholds), accepts
 
-    def log_acceptance_ratios(self, eta, gammas, proposed, proposal_sds) -> np.ndarray:
+    def log_acceptance_ratios(self, eta, thresholds, proposed, proposal_sds) -> np.ndarray:
         """Log MH ratio of the blocked threshold move of every scale, given
-        the linear predictor eta of all rows.
+        the linear predictor eta of all rows and the current and proposed
+        flat thresholds.
 
         A ratio is the label-likelihood ratio times the correction for the
         sequential truncated-normal proposal: the normal kernels cancel,
@@ -275,17 +285,16 @@ class _GibbsKernel:
         its reverse density is zero and the move must be rejected.
         """
         edges = self._edges
-        thresholds = np.concatenate((*gammas, *proposed))
-        edges[self._threshold_slots] = thresholds
+        centre = np.array((thresholds, proposed), dtype=float)
+        edges[self._threshold_slots] = centre
         if self._grouping is not None:
             eta = eta[self._grouping]
         # rows 0 and 1: the labels' log-likelihood under current and proposed
         loglik = log_interval_mass(
             edges[self._label_lower] - eta, edges[self._label_upper] - eta
         )
-        centre = thresholds.reshape(2, -1)
         above = edges[self._above]
-        sds = np.repeat(proposal_sds, self._num_thresholds)
+        sds = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
         # rows 0 and 1: forward and reverse proposal normalizers
         log_norm = log_interval_mass(
             (edges[self._below] - centre) / sds, (above - centre) / sds
@@ -299,11 +308,11 @@ class _GibbsKernel:
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
-    def draw_latents(self, eta, gammas, rng):
+    def draw_latents(self, eta, thresholds, rng):
         """Redraw every latent from its truncated-normal conditional;
         returns the latents and their lower and upper bounds."""
         edges = self._edges
-        edges[self._threshold_pos] = np.concatenate(gammas)
+        edges[self._threshold_pos] = thresholds
         lowers = edges[self._lower_pos]
         uppers = edges[self._upper_pos]
         y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rng)
@@ -315,16 +324,16 @@ class _GibbsKernel:
         z = rng.standard_normal(b.size)
         return self.chol_inv.T @ (self.chol_inv @ b + z)
 
-    def _check_state(self, beta, gammas, y_star, lowers, uppers):
+    def _check_state(self, beta, thresholds, y_star, lowers, uppers):
         ok = (
             np.isfinite(beta).all()
-            and all((g[1:] > g[:-1]).all() for g in gammas)
+            and ((thresholds[1:] > thresholds[:-1]) | self._scale_breaks).all()
             and ((y_star > lowers) & (y_star < uppers)).all()
         )
         if not ok:
             raise SamplerPanicError(
                 f"post-sweep invariant violated: beta={np.asarray(beta).tolist()} "
-                f"gammas={[g.tolist() for g in gammas]} "
+                f"gammas={self._per_scale(thresholds)} "
                 f"latent_range=({y_star.min()}, {y_star.max()})"
             )
 
@@ -345,7 +354,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     if int(num_chains) < 1:
         raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
     kernel = _GibbsKernel(dataset, config)
-    beta0, gammas0 = kernel.initial_state()
+    beta0, thresholds0 = kernel.initial_state()
     sds = kernel.proposal_sds()
 
     total = config.total_sweeps
@@ -356,7 +365,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     size = num_chains * stored
 
     beta_draws = np.empty((size, dataset.num_features))
-    gamma_draws = [np.empty((size, s.num_thresholds)) for s in dataset.scales]
+    threshold_draws = np.empty((size, thresholds0.size))
     iteration_ids = np.empty(size, dtype=int)
     acc_counts = {s.scale_id: 0 for s in dataset.scales}
 
@@ -364,24 +373,23 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     children = np.random.SeedSequence(int(config.seed)).spawn(num_chains)
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        beta, gammas = beta0, list(gammas0)
+        beta, thresholds = beta0, thresholds0
         for m in range(1, total + 1):
             try:
-                beta, accepts = kernel.sweep(beta, gammas, sds, rng)
+                beta, thresholds, accepts = kernel.sweep(beta, thresholds, sds, rng)
             except MsprobitError as exc:
                 raise type(exc)(f"chain {i}: sweep {m}: {exc}") from exc
             for s, acc in zip(dataset.scales, accepts):
                 acc_counts[s.scale_id] += int(acc)
             if m > burn_in and (m - burn_in) % thinning == 0:
                 beta_draws[out] = beta
-                for k in range(len(gammas)):
-                    gamma_draws[k][out] = gammas[k]
+                threshold_draws[out] = thresholds
                 iteration_ids[out] = m
                 out += 1
 
     return DrawSet(
         beta_draws=beta_draws,
-        gamma_draws=tuple(gamma_draws),
+        threshold_draws=threshold_draws,
         scales=dataset.scales,
         chain_ids=np.repeat(np.arange(num_chains), stored),
         iteration_ids=iteration_ids,
@@ -424,7 +432,7 @@ def tune_proposal(
     target = float(target_rate)
     kernel = _GibbsKernel(dataset, config)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x7459]))
-    beta, gammas = kernel.initial_state()
+    beta, thresholds = kernel.initial_state()
     sds = kernel.proposal_sds()
 
     n_scales = len(dataset.scales)
@@ -445,7 +453,7 @@ def tune_proposal(
         size = _BRACKET_WINDOW if bracketing else _CONFIRM_WINDOW
         acc = np.zeros(n_scales)
         for _ in range(size):
-            beta, accepts = kernel.sweep(beta, gammas, sds, rng)
+            beta, thresholds, accepts = kernel.sweep(beta, thresholds, sds, rng)
             acc += accepts
         rates = acc / size
         trajectory.append(

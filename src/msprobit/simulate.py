@@ -280,8 +280,10 @@ def _score_replication(r: int, sim: SimTruth, fits: dict[str, DrawSet]):
     for model, drawset in fits.items():
         beta_rmse = per_draw_rmse(drawset.beta_draws, sim.beta_true)
         mean_beta[model] = float(beta_rmse.mean())
-        for s, gamma_draws in zip(drawset.scales, drawset.gamma_draws):
-            gamma_rmse = per_draw_rmse(gamma_draws, gammas_true[s.scale_id])
+        for s in drawset.scales:
+            gamma_rmse = per_draw_rmse(
+                drawset.gamma_draws_for(s.scale_id), gammas_true[s.scale_id]
+            )
             mean_gamma[(model, s.scale_id)] = float(gamma_rmse.mean())
             draws.extend(
                 (r, model, s.scale_id, "gamma_rmse", d, float(v))

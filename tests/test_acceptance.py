@@ -68,10 +68,10 @@ def test_criterion_01_sweep_kernel_preserves_prior():
         sds = [0.6, 0.6]
 
         beta = rng.normal(size=p)
-        gammas = [
-            rng.uniform(-BOX, BOX, size=1),
-            np.sort(rng.uniform(-BOX, BOX, size=2)),
-        ]
+        thresholds = np.concatenate(
+            [rng.uniform(-BOX, BOX, size=1), np.sort(rng.uniform(-BOX, BOX, size=2))]
+        )
+        scale_slices = (slice(0, 1), slice(1, 3))
 
         iters, thin = 50_000, 50
         kept = {key: [] for key in ("b1", "b2", "g1", "g2lo", "g2hi")}
@@ -79,8 +79,8 @@ def test_criterion_01_sweep_kernel_preserves_prior():
             y_star = X @ beta + rng.normal(size=2 * n_half)
             labels = np.concatenate(
                 [
-                    labels_from_latent(y_star[:n_half], gammas[0]),
-                    labels_from_latent(y_star[n_half:], gammas[1]),
+                    labels_from_latent(y_star[:n_half], thresholds[scale_slices[0]]),
+                    labels_from_latent(y_star[n_half:], thresholds[scale_slices[1]]),
                 ]
             )
             kernel = _GibbsKernel(
@@ -88,21 +88,20 @@ def test_criterion_01_sweep_kernel_preserves_prior():
                 config,
             )
             eta = X @ beta
-            proposed = list(gammas)
-            accepts = kernel.update_thresholds(eta, proposed, sds, rng)
-            for k, accepted in enumerate(accepts):
+            moved, _ = kernel.update_thresholds(eta, thresholds, sds, rng)
+            for sl in scale_slices:
                 # flat-prior move corrected to the box prior: zero density
                 # outside the box means the move is rejected after the fact
-                if accepted and np.all(np.abs(proposed[k]) <= BOX):
-                    gammas[k] = proposed[k]
-            latents, _, _ = kernel.draw_latents(eta, gammas, rng)
+                if np.all(np.abs(moved[sl]) <= BOX):
+                    thresholds[sl] = moved[sl]
+            latents, _, _ = kernel.draw_latents(eta, thresholds, rng)
             beta = kernel.draw_coefficients(latents, rng)
             if it % thin == thin - 1:
                 kept["b1"].append(beta[0])
                 kept["b2"].append(beta[1])
-                kept["g1"].append(gammas[0][0])
-                kept["g2lo"].append(gammas[1][0])
-                kept["g2hi"].append(gammas[1][1])
+                kept["g1"].append(thresholds[0])
+                kept["g2lo"].append(thresholds[1])
+                kept["g2hi"].append(thresholds[2])
 
         def box_u(x):
             return np.clip((np.asarray(x) + BOX) / (2 * BOX), 0.0, 1.0)

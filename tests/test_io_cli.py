@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -83,8 +83,7 @@ def test_draws_round_trip_and_stability(tmp_path, two_scale_dataset):
     io.write_draws(p1, draws)
     back = io.read_draws(p1)
     np.testing.assert_array_equal(back.beta_draws, draws.beta_draws)
-    for g1, g2 in zip(back.gamma_draws, draws.gamma_draws):
-        np.testing.assert_array_equal(g1, g2)
+    np.testing.assert_array_equal(back.threshold_draws, draws.threshold_draws)
     np.testing.assert_array_equal(back.iteration_ids, draws.iteration_ids)
     assert back.scales == draws.scales
     # counters are not serialized
@@ -402,8 +401,10 @@ def _fails_with_one_line(capsys, argv, match):
         ('{"scales": {"1": 1e400, "2": 3}}', "{path} scale 1 class count must be an"),
         ('{"scales": {"1": 2.7, "2": 3}}', "{path} scale 1 class count must be an"),
         ('{"scales": {"1": 2, "2": 1}}', "{path} scale 2 class count must be >= 2"),
+        ('{"scales": {"1": 99999999999999999999, "2": 3}}',
+         "{path} scale 1 class count must be <= 9223372036854775807"),
     ],
-    ids=["invalid-json", "infinite", "overflow", "fractional", "one-class"],
+    ids=["invalid-json", "infinite", "overflow", "fractional", "one-class", "beyond-int64"],
 )
 def test_cli_fit_rejects_malformed_scale_sidecar(sim_dir, tmp_path, capsys, text, match):
     bad = tmp_path / "bad.scales.json"
@@ -443,6 +444,10 @@ def test_cli_predict_rejects_malformed_transform(sim_dir, draws_path, tmp_path, 
     [
         '{"mean": [NaN, 0, 0], "scale": [1, 1, 1]}',
         '{"mean": [0, 0, 0], "scale": [1, Infinity, 1]}',
+        pytest.param(
+            '{"mean": [1%s, 0, 0], "scale": [1, 1, 1]}' % ("0" * 400),
+            id="beyond-float-range",
+        ),
     ],
 )
 def test_cli_predict_rejects_non_finite_transform(
@@ -458,6 +463,38 @@ def test_cli_predict_rejects_non_finite_transform(
         "must be finite",
     )
     assert not (out / "predictions.csv").exists()
+
+
+_BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "command, column",
+    [("fit", "scale_id"), ("fit", "label"), ("predict", "scale_id"), ("predict", "label"),
+     ("predict", "chain_id"), ("summarize", "chain_id")],
+)
+def test_cli_rejects_integer_cells_beyond_int64(
+    sim_dir, draws_path, tmp_path, capsys, command, column
+):
+    data, draws = str(sim_dir / "dataset.csv"), draws_path
+    source = draws if column == "chain_id" else data
+    header, rows = read_table(source)
+    rows[0][header.index(column)] = _BEYOND_INT64
+    bad = str(tmp_path / os.path.basename(source))
+    io.write_table(bad, header, rows)
+    if column == "chain_id":
+        draws = bad
+    else:
+        data = bad
+        (tmp_path / "dataset.scales.json").write_text(
+            (sim_dir / "dataset.scales.json").read_text()
+        )
+    argv = {
+        "fit": ["fit", data],
+        "predict": ["predict", draws, data, "--scale", "1"],
+        "summarize": ["summarize", draws],
+    }[command]
+    _fails_with_one_line(capsys, argv + ["--out", str(tmp_path / "o")], f"{bad} line 2: ")
 
 
 def test_preset_lookup_returns_a_fresh_copy():
@@ -568,7 +605,8 @@ def test_read_draws_rejects_malformed_rows(tmp_path, two_scale_dataset):
     cases = {
         "line 4: empty or non-finite value": rows[:2] + [rows[2][:-1] + [""]],
         "line 4: expected 8 fields, got 7": rows[:2] + [rows[2][:-1]],
-        "invalid literal": [["x"] + rows[0][1:]],
+        "line 2: invalid literal": [["x"] + rows[0][1:]],
+        "line 3: Python int too large": rows[:1] + [[_BEYOND_INT64] + rows[1][1:]],
     }
     for message, body in cases.items():
         bad = tmp_path / "bad.csv"
@@ -778,3 +816,117 @@ def test_cli_wrong_typed_config_values_fail_cleanly(small_dataset, case, data):
             code = main(argv + ["--config", config, "--out", os.path.join(tmp, "out")])
     assert code in (1, 2, 3), (command, path, doc)
     assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+# -- fuzzed input files ------------------------------------------------------
+
+# One edit of one input file: a cell, a line or a JSON value replaced,
+# deleted or added, a line dropped, or the file cut short.
+_FUZZ_VALUES = ("", "x", "nan", "inf", "-inf", "1e999", "-1e999", _BEYOND_INT64,
+                "-" + _BEYOND_INT64, "1" + "0" * 400, "0", "-1", "2", "0.5", "null", "[]")
+_FUZZ_EDITS = ("replace", "delete", "append", "drop", "truncate")
+# each input file and the commands that read it
+_FUZZ_READERS = {
+    "dataset.csv": ("fit", "predict", "evaluate"),
+    "dataset.scales.json": ("fit", "predict", "evaluate"),
+    "draws.csv": ("predict", "summarize"),
+    "standardization.json": ("predict",),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    chain = {"burn_in": 3, "thinning": 1, "stored_draws": 4, "seed": 1, "proposal_sd": 0.8}
+    _write_json(root / "chain.json", chain)
+    _write_json(root / "eval.json", {**chain, "num_splits": 1, "split_fraction": 0.6})
+    config = _write_json(root / "sim.json", SIM_CONFIG)
+    assert main(["simulate", "--config", config, "--out", str(root)]) == 0
+    assert main(["fit", str(root / "dataset.csv"), "--config", str(root / "chain.json"),
+                 "--chains", "2", "--standardize", "--out", str(root)]) == 0
+    return {name: (root / name).read_text() for name in _FUZZ_READERS}, root
+
+
+def _fuzz_csv(text, edit, where, cell, value):
+    lines = text.splitlines()
+    i = where % len(lines)
+    cells = lines[i].split(",")
+    if edit == "replace":
+        cells[cell % len(cells)] = value
+    elif edit == "delete":
+        del cells[cell % len(cells)]
+    elif edit == "append":
+        cells.append(value)
+    lines[i] = ",".join(cells)
+    if edit == "drop":
+        del lines[i]
+    elif edit == "truncate":
+        return "\n".join(lines[:i] + [lines[i][: cell % (len(lines[i]) + 1)]])
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_json(text, edit, where, cell, value):
+    if edit == "truncate":
+        return text[: where % len(text)]
+    special = {"": '""', "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "x": '"x"'}
+    token = special.get(value, value)  # the rest are JSON literals as they stand
+    doc = json.loads(text)
+
+    def slots(node):
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            yield node, key
+            if isinstance(child, (dict, list)):
+                yield from slots(child)
+
+    found = list(slots(doc))
+    parent, key = found[where % len(found)]
+    if edit == "replace":
+        parent[key] = "<value>"
+    elif edit == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append("<value>")
+    else:  # a new key, or a renamed one
+        parent[value] = "<value>" if edit == "append" else parent.pop(key)
+    return json.dumps(doc).replace('"<value>"', token)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(_FUZZ_READERS)),
+    edit=st.sampled_from(_FUZZ_EDITS),
+    where=st.integers(0, 200),
+    cell=st.integers(0, 10),
+    value=st.sampled_from(_FUZZ_VALUES),
+)
+@example(name="dataset.csv", edit="replace", where=1, cell=0, value=_BEYOND_INT64)
+@example(name="dataset.csv", edit="replace", where=1, cell=1, value=_BEYOND_INT64)
+@example(name="dataset.scales.json", edit="replace", where=1, cell=0, value=_BEYOND_INT64)
+@example(name="draws.csv", edit="replace", where=1, cell=0, value=_BEYOND_INT64)
+@example(name="standardization.json", edit="replace", where=1, cell=0, value="1" + "0" * 400)
+def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where, cell, value):
+    """Every command that reads the edited file exits 0 to 3 without a
+    traceback, and a failure is exactly one error line on stderr."""
+    texts, root = fuzz_inputs
+    mutate = _fuzz_json if name.endswith(".json") else _fuzz_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, text in texts.items():
+            with open(os.path.join(tmp, other), "w") as fh:
+                fh.write(mutate(text, edit, where, cell, value) if other == name else text)
+        data, draws = os.path.join(tmp, "dataset.csv"), os.path.join(tmp, "draws.csv")
+        argv = {
+            "fit": ["fit", data, "--config", str(root / "chain.json")],
+            "predict": ["predict", draws, data, "--scale", "2",
+                        "--transform", os.path.join(tmp, "standardization.json")],
+            "summarize": ["summarize", draws],
+            "evaluate": ["evaluate", data, "--config", str(root / "eval.json")],
+        }
+        for command in _FUZZ_READERS[name]:
+            err = stdio.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+                code = main(argv[command] + ["--out", os.path.join(tmp, "out")])
+            assert code in (0, 1, 2, 3), (command, code)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), (
+                    command, err.getvalue())

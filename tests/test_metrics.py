@@ -225,11 +225,11 @@ def test_predict_class_probs_shifts_with_eta():
     assert low[0] > 0.9 and high[1] > 0.9
 
 
-def _drawset_from(betas, gammas_list, scales):
+def _drawset_from(betas, thresholds, scales):
     m = len(betas)
     return DrawSet(
         beta_draws=np.asarray(betas, dtype=float),
-        gamma_draws=tuple(np.asarray(g, dtype=float) for g in gammas_list),
+        threshold_draws=np.asarray(thresholds, dtype=float),
         scales=scales,
         chain_ids=np.zeros(m, dtype=int),
         iteration_ids=np.arange(m),
@@ -242,7 +242,7 @@ def test_predict_class_probs_ambiguous_scale_needs_index():
     # two scales with the same class count: the scale is picked by its id,
     # never guessed from the threshold count
     scales = (ScaleSpec(1, 2), ScaleSpec(2, 2))
-    draws = _drawset_from([[0.0]], [[[0.0]], [[1.0]]], scales)
+    draws = _drawset_from([[0.0]], [[0.0, 1.0]], scales)
     X = np.array([[0.0]])
     first = class_probabilities(draws.beta_draws, draws.gamma_draws_for(1), X)
     second = class_probabilities(draws.beta_draws, draws.gamma_draws_for(2), X)

@@ -80,7 +80,7 @@ def _log_ratio(current, proposed, eta, labels, sd):
     scale_ids = np.ones(len(labels), dtype=int)
     kernel = _ratio_kernel(labels, scale_ids, (current.size + 1,))
     eta = np.asarray(eta, dtype=float)
-    return kernel.log_acceptance_ratios(eta, [current], [proposed], [sd])[0]
+    return kernel.log_acceptance_ratios(eta, current, proposed, [sd])[0]
 
 
 def test_acceptance_ratio_matches_quadrature_oracle():
@@ -176,7 +176,9 @@ def test_acceptance_ratios_of_interleaved_scales_match_oracle():
     sds = [0.9, 0.7, 0.4]
 
     def check(proposed):
-        got = kernel.log_acceptance_ratios(eta, current, proposed, sds)
+        got = kernel.log_acceptance_ratios(
+            eta, np.concatenate(current), np.concatenate(proposed), sds
+        )
         for k in range(3):
             rows = scale_ids == k + 1
             want = _oracle_log_ratio(
@@ -207,14 +209,15 @@ def test_mh_update_moves_toward_data(two_scale_dataset):
     ds = two_scale_dataset.restrict_to_scale(2)
     kernel = _GibbsKernel(ds, ChainConfig())
     g = np.random.default_rng(5)
-    gammas = [np.array([-2.5, 2.5])]
+    thresholds = np.array([-2.5, 2.5])
     eta = np.zeros(ds.num_obs)
     accepted = 0
     for _ in range(400):
-        accepted += kernel.update_thresholds(eta, gammas, [0.4], g)[0]
-        assert gammas[0][0] < gammas[0][1]
+        thresholds, accepts = kernel.update_thresholds(eta, thresholds, [0.4], g)
+        accepted += accepts[0]
+        assert thresholds[0] < thresholds[1]
     assert 0 < accepted < 400
-    assert abs(gammas[0][0]) < 1.5 and abs(gammas[0][1]) < 1.5
+    assert abs(thresholds[0]) < 1.5 and abs(thresholds[1]) < 1.5
 
 
 def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
@@ -226,13 +229,14 @@ def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
     labels = np.array([1 + g.integers(num_classes[s - 1]) for s in scale_ids])
     kernel = _ratio_kernel(labels, scale_ids, num_classes)
     eta = g.normal(size=labels.size)
-    gammas = [np.array([0.2]), np.array([-1.0, 0.1, 0.3]), np.array([-0.4, 0.5])]
+    thresholds = np.array([0.2, -1.0, 0.1, 0.3, -0.4, 0.5])
     sds = [2.0, 1.5, 3.0]
     seen = []
     score = kernel.log_acceptance_ratios
 
     def record(eta, current, proposed, proposal_sds):
-        seen.append(([c.copy() for c in current], [p.copy() for p in proposed]))
+        split = [1, 4]
+        seen.append((np.split(current.copy(), split), np.split(proposed.copy(), split)))
         return score(eta, current, proposed, proposal_sds)
 
     kernel.log_acceptance_ratios = record
@@ -245,7 +249,7 @@ def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
 
     monkeypatch.setattr(sampler, "sample_truncated_normal_many", counted)
     for _ in range(300):
-        kernel.update_thresholds(eta, gammas, sds, g)
+        thresholds, _ = kernel.update_thresholds(eta, thresholds, sds, g)
     assert len(seen) == 300
     # threshold c of every scale that has one, in one call per position
     assert sizes == [3, 2, 1] * 300
@@ -317,7 +321,9 @@ def test_draw_latents_respects_intervals(two_scale_dataset, rng):
     kernel = _GibbsKernel(ds, ChainConfig())
     beta = np.array([0.3, -0.2, 0.1])
     gammas = [np.array([0.0]), np.array([-0.7, 0.7])]
-    y, lowers, uppers = kernel.draw_latents(ds.features @ beta, gammas, rng)
+    y, lowers, uppers = kernel.draw_latents(
+        ds.features @ beta, np.concatenate(gammas), rng
+    )
     for k, s in enumerate(ds.scales):
         rows = ds.rows_for_scale(s.scale_id)
         edges = np.concatenate(([-np.inf], gammas[k], [np.inf]))
@@ -333,8 +339,7 @@ def test_run_chain_deterministic_and_bookkept(two_scale_dataset):
     a = run_chains(two_scale_dataset, cfg)
     b = run_chains(two_scale_dataset, cfg)
     np.testing.assert_array_equal(a.beta_draws, b.beta_draws)
-    for ga, gb in zip(a.gamma_draws, b.gamma_draws):
-        np.testing.assert_array_equal(ga, gb)
+    np.testing.assert_array_equal(a.threshold_draws, b.threshold_draws)
     assert len(a) == 30
     assert a.iteration_ids[0] == 43
     assert a.iteration_ids[-1] == 40 + 3 * 30
@@ -350,9 +355,8 @@ def test_run_chain_deterministic_and_bookkept(two_scale_dataset):
 def test_every_stored_draw_is_ordered(two_scale_dataset):
     cfg = ChainConfig(burn_in=20, thinning=1, stored_draws=120, seed=5)
     draws = run_chains(two_scale_dataset, cfg)
-    for g in draws.gamma_draws:
-        if g.shape[1] > 1:
-            assert np.all(np.diff(g, axis=1) > 0)
+    for s in draws.scales:
+        assert np.all(np.diff(draws.gamma_draws_for(s.scale_id), axis=1) > 0)
 
 
 def test_run_chains_default_is_one_chain(two_scale_dataset):
@@ -370,8 +374,7 @@ def test_run_chains_leading_chains_do_not_depend_on_chain_count(two_scale_datase
     more = run_chains(two_scale_dataset, cfg, k + 1)
     lead = slice(0, len(fewer))
     np.testing.assert_array_equal(more.beta_draws[lead], fewer.beta_draws)
-    for g_more, g_fewer in zip(more.gamma_draws, fewer.gamma_draws):
-        np.testing.assert_array_equal(g_more[lead], g_fewer)
+    np.testing.assert_array_equal(more.threshold_draws[lead], fewer.threshold_draws)
     np.testing.assert_array_equal(more.chain_ids[lead], fewer.chain_ids)
     np.testing.assert_array_equal(more.iteration_ids[lead], fewer.iteration_ids)
     assert np.all(more.chain_ids[len(fewer):] == k)
@@ -454,7 +457,7 @@ def test_drawset_shape_validation():
     with pytest.raises(ValueError):
         DrawSet(
             beta_draws=np.zeros((3, 2)),
-            gamma_draws=(np.zeros((4, 1)),),
+            threshold_draws=np.zeros((4, 1)),
             scales=(ScaleSpec(1, 2),),
             chain_ids=np.zeros(3, dtype=int),
             iteration_ids=np.zeros(3, dtype=int),
