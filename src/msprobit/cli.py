@@ -5,6 +5,10 @@ Every command with a --seed flag is end-to-end deterministic: the same
 inputs and seed produce byte-identical output files. Timing goes to
 stderr so it never perturbs the artifacts.
 
+A flag beats the config document (--config or --preset), which beats
+the defaults: _config_doc writes each flag given over its key of the
+document, and the io readers check every value, flags included.
+
 Exit codes: 0 success, 1 validation/config error, 2 sampler or numerical
 error, 3 filesystem error.
 """
@@ -27,7 +31,7 @@ from .metrics import (
     fit_standardizer,
     latent_scores,
 )
-from .model import ChainConfig, Dataset
+from .model import Dataset
 from .presets import preset
 from .sampler import DrawSet, mcse_mean, run_chains
 from .simulate import run_experiment, simulate_dataset
@@ -37,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors (exit 1), not argparse's default 2
     def error(self, message):
         raise ConfigError(message)
-
-
-def _seed_arg(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def _default_scales_path(dataset_path: str) -> str:
@@ -66,34 +63,31 @@ def _mcse(x: np.ndarray):
     return _json_value(mcse_mean(x)) if x.size >= 4 else None
 
 
+# each flag and the config key it is written over
+_FLAG_KEYS = {"seed": "seed", "chains": "num_chains",
+              "fraction": "split_fraction", "splits": "num_splits"}
+
+
 def _config_doc(args, part=lambda doc: doc) -> dict:
     """The --config file as a dict, or part of the --preset document (an
-    experiment config), or {} when there is neither."""
+    experiment config), or {} when there is neither, with each flag given
+    written over its key: a flag beats the document, which beats the
+    defaults, and the io readers check every value, flags included."""
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
     if args.preset:
-        return part(preset(args.preset))
-    return io.read_json_object(args.config) if args.config else {}
+        doc = part(preset(args.preset))
+    else:
+        doc = io.read_json_object(args.config) if args.config else {}
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            doc[key] = value
+    return doc
 
 
 def _chain_part(doc: dict) -> dict:
     return doc["chain"]
-
-
-def _resolve_chain_config(args, doc: dict) -> tuple[ChainConfig, int]:
-    """Merge the config document with the flags into one chain configuration.
-
-    doc is the chain config object (see _config_doc). Precedence: explicit
-    flags beat the document, which beats defaults.
-    """
-    config, num_chains = io.chain_config_from_dict(doc)
-    if args.seed is not None:
-        config = replace(config, seed=int(args.seed))
-    if args.chains is not None:
-        num_chains = int(args.chains)
-        if num_chains < 1:
-            raise ConfigError(f"--chains must be >= 1, got {num_chains}")
-    return config, num_chains
 
 
 def _out_path(args, name: str) -> str:
@@ -116,14 +110,9 @@ def cmd_simulate(args):
     if unknown:
         raise ConfigError(f"unknown simulate config key(s): {', '.join(unknown)}")
     design = io.design_from_dict(doc, "simulate")
-    seed = args.seed if args.seed is not None else io.config_seed(doc)
-    sim = simulate_dataset(
-        design["num_scales"],
-        design["obs_per_scale"],
-        design["num_features"],
-        design["num_thresholds"],
-        design["min_per_class"],
-        np.random.default_rng(np.random.SeedSequence(seed)),
+    sim = simulate_dataset(  # DESIGN_KEYS are its leading arguments, in order
+        *(design[key] for key in io.DESIGN_KEYS),
+        np.random.default_rng(np.random.SeedSequence(design["seed"])),
     )
 
     dataset = sim.dataset
@@ -176,7 +165,7 @@ def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
 
 def cmd_fit(args):
     dataset = _load_dataset(args)
-    config, num_chains = _resolve_chain_config(args, _config_doc(args, _chain_part))
+    config, num_chains = io.chain_config_from_dict(_config_doc(args, _chain_part))
     if args.standardize:
         mean, sd = fit_standardizer(dataset.features)
         dataset = replace(dataset, features=(dataset.features - mean) / sd)
@@ -254,18 +243,14 @@ def cmd_evaluate(args):
     doc = _config_doc(args, _chain_part)
     fraction = io.config_number(doc.pop("split_fraction", 2.0 / 3.0), "split_fraction")
     splits = io.config_number(doc.pop("num_splits", 10), "num_splits", integer=True)
-    if args.fraction is not None:
-        fraction = args.fraction
-    if args.splits is not None:
-        splits = args.splits
-    config, num_chains = _resolve_chain_config(args, doc)
+    config, num_chains = io.chain_config_from_dict(doc)
 
     report = evaluate_splits(
         dataset,
         fraction,
         splits,
         config,
-        np.random.default_rng(np.random.SeedSequence(int(config.seed))),
+        np.random.default_rng(np.random.SeedSequence(config.seed)),
         num_chains=num_chains,
         standardize=bool(args.standardize),
     )
@@ -283,7 +268,7 @@ def cmd_evaluate(args):
 def cmd_experiment(args):
     if not (args.preset or args.config):
         raise ConfigError("experiment needs --preset or --config")
-    config = io.experiment_config_from_dict(_config_doc(args), args.seed)
+    config = io.experiment_config_from_dict(_config_doc(args))
 
     def progress(r, total):
         print(f"replication {r}/{total} done", file=sys.stderr)
@@ -354,9 +339,7 @@ def build_parser() -> _Parser:
         if preset:
             p.add_argument("--preset", default=None, help="named configuration")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument(
-            "--seed", type=_seed_arg, default=None, help="random seed override"
-        )
+        p.add_argument("--seed", type=int, default=None, help="random seed override")
         if chain:
             p.add_argument("--chains", type=int, default=None, help="chain count")
         p.add_argument("--out", default=".", help="output directory")

@@ -100,30 +100,39 @@ def write_dataset(path: str, sidecar_path: str, dataset: Dataset):
     )
 
 
-def read_dataset(path: str, sidecar_path: str) -> Dataset:
+def _read_numeric_csv(path: str, id_names: list[str], error):
+    """(header, ids, values) of a CSV whose header starts with the two
+    id_names: ids (m, 2) holds the two leading columns as int64, values
+    (m, k) the other k as floats, an empty cell as NaN.
+
+    A wrong header, a row of the wrong width or a cell that does not parse
+    raises error(message), a message naming the path and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:2] != ["scale_id", "label"]:
-            raise DatasetValidationError(
-                [f"{path}: header must start with scale_id,label"]
-            )
-        feat_names = header[2:]
-        scale_ids, labels, feats = [], [], []
+        if header is None or header[:2] != id_names:
+            raise error(f"{path}: header must start with {','.join(id_names)}")
+        ids, values = [], []
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise DatasetValidationError(
-                    [f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"]
+                raise error(
+                    f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                scale_ids.append(np.int64(row[0]))
-                labels.append(np.int64(row[1]))
-                feats.append([parse_float(v) for v in row[2:]])
+                ids.append((np.int64(row[0]), np.int64(row[1])))
+                values.append([parse_float(v) for v in row[2:]])
             except (ValueError, OverflowError) as exc:
-                raise DatasetValidationError(
-                    [f"{path} line {ln}: {exc}"]
-                ) from None
+                raise error(f"{path} line {ln}: {exc}") from None
+    ids = np.array(ids, dtype=int).reshape(-1, 2)
+    values = np.array(values, dtype=float).reshape(len(values), len(header) - 2)
+    return header, ids, values
 
+
+def read_dataset(path: str, sidecar_path: str) -> Dataset:
+    _, ids, features = _read_numeric_csv(
+        path, ["scale_id", "label"], lambda message: DatasetValidationError([message])
+    )
     sidecar = read_json_object(sidecar_path)
     try:
         counts = sorted(sidecar["scales"].items(), key=lambda kv: int(kv[0]))
@@ -142,14 +151,8 @@ def read_dataset(path: str, sidecar_path: str) -> Dataset:
         for sid, c in counts
     )
 
-    features = np.asarray(feats, dtype=float).reshape(len(feats), len(feat_names))
     return validate_dataset(
-        Dataset(
-            features=features,
-            labels=np.asarray(labels, dtype=int),
-            scale_ids=np.asarray(scale_ids, dtype=int),
-            scales=scales,
-        )
+        Dataset(features=features, labels=ids[:, 1], scale_ids=ids[:, 0], scales=scales)
     )
 
 
@@ -185,13 +188,7 @@ def read_draws(path: str) -> DrawSet:
     at least one row, only finite values, and strictly increasing
     thresholds in every row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["chain_id", "iteration"]:
-            raise ConfigError(f"{path}: header must start with chain_id,iteration")
-        data = [row for row in reader]
-
+    header, ids, values = _read_numeric_csv(path, ["chain_id", "iteration"], ConfigError)
     p = sum(1 for h in header if h.startswith("beta_"))
     num_thresholds: dict[int, int] = {}  # scale id -> its last gamma column
     for h in header[2 + p :]:
@@ -205,21 +202,8 @@ def read_draws(path: str) -> DrawSet:
             f"{path}: header must be chain_id,iteration,beta_1..beta_p "
             "then gamma_<scale>_<j> per scale"
         )
-    if not data:
+    if not len(values):
         raise ConfigError(f"{path}: no draw rows")
-    ids, values = [], []
-    for ln, row in enumerate(data, start=2):
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            ids.append((np.int64(row[0]), np.int64(row[1])))
-            values.append([parse_float(v) for v in row[2:]])
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path} line {ln}: {exc}") from None
-    chain_ids, iteration_ids = np.array(ids, dtype=int).T
-    values = np.array(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path} line {bad[0] + 2}: empty or non-finite value")
@@ -239,8 +223,8 @@ def read_draws(path: str) -> DrawSet:
         beta_draws=np.ascontiguousarray(values[:, :p]),
         threshold_draws=np.ascontiguousarray(values[:, p:]),
         scales=scales,
-        chain_ids=chain_ids,
-        iteration_ids=iteration_ids,
+        chain_ids=ids[:, 0],
+        iteration_ids=ids[:, 1],
         accept_counts={s.scale_id: 0 for s in scales},
         proposal_counts={s.scale_id: 0 for s in scales},
     )
@@ -348,9 +332,9 @@ DESIGN_KEYS = (
 
 
 def design_from_dict(doc: dict, command: str) -> dict:
-    """The simulation design of a simulate or experiment config, every count
-    checked to be an integer. num_thresholds is one count for all scales or
-    a per-scale list; min_per_class defaults to 1."""
+    """The simulation design and seed of a simulate or experiment config,
+    every count checked to be an integer. num_thresholds is one count for
+    all scales or a per-scale list; min_per_class defaults to 1, seed to 0."""
     missing = [k for k in DESIGN_KEYS if k not in doc and k != "min_per_class"]
     if missing:
         raise ConfigError(f"{command} config is missing key {missing[0]!r}")
@@ -359,6 +343,7 @@ def design_from_dict(doc: dict, command: str) -> dict:
         for key in DESIGN_KEYS
         if key != "num_thresholds"
     }
+    design["seed"] = config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
     thresholds = doc["num_thresholds"]
     if isinstance(thresholds, (list, tuple)):
         design["num_thresholds"] = tuple(
@@ -371,15 +356,10 @@ def design_from_dict(doc: dict, command: str) -> dict:
     return design
 
 
-def config_seed(doc: dict) -> int:
-    """The seed of a simulate or experiment config, 0 when it has none."""
-    return config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
-
-
-def experiment_config_from_dict(doc: dict, seed_override=None) -> ExperimentConfig:
+def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an experiment configuration from a JSON document: the design
-    keys, replications, seed, num_chains and a nested chain object.
-    seed_override, when given, replaces the document's seed."""
+    keys, replications, seed, num_chains and a nested chain object. A
+    top-level num_chains beats the chain object's; both are checked."""
     allowed = set(DESIGN_KEYS) | {"replications", "num_chains", "seed", "chain"}
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -389,15 +369,14 @@ def experiment_config_from_dict(doc: dict, seed_override=None) -> ExperimentConf
     chain_doc = doc.get("chain", {})
     if not isinstance(chain_doc, dict):
         raise ConfigError("chain must be an object")
-    chain_config, chain_nc = chain_config_from_dict(chain_doc)
+    chain_config, num_chains = chain_config_from_dict(chain_doc)
+    if "num_chains" in doc:  # beats the chain object's, checked the same way
+        _, num_chains = chain_config_from_dict({"num_chains": doc["num_chains"]})
     return ExperimentConfig(
         replications=config_number(doc["replications"], "replications", integer=True),
         **design_from_dict(doc, "experiment"),
         chain_config=chain_config,
-        num_chains=config_number(
-            doc.get("num_chains", chain_nc), "num_chains", integer=True, minimum=1
-        ),
-        seed=seed_override if seed_override is not None else config_seed(doc),
+        num_chains=num_chains,
     )
 
 

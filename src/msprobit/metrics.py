@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, StratificationError
-from .model import ChainConfig, Dataset, ScaleSpec
+from .model import ChainConfig, Dataset, ScaleSpec, missing_classes
 from .sampler import DrawSet, run_chains
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
@@ -265,9 +265,9 @@ def _stratified_split(
 
     # A cell empty in the full data can never be covered; name it up front.
     for s in dataset.scales:
-        rows = dataset.rows_for_scale(s.scale_id)
-        present = set(dataset.labels[rows].tolist())
-        missing = [c for c in range(1, s.num_classes + 1) if c not in present]
+        missing = missing_classes(
+            dataset.labels[dataset.rows_for_scale(s.scale_id)], s.num_classes
+        )
         if missing:
             raise StratificationError(
                 f"scale {s.scale_id} class(es) {missing} absent from the "

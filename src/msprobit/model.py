@@ -173,12 +173,12 @@ class ChainConfig:
     init_gammas: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if int(self.burn_in) < 0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
-        if int(self.thinning) < 1:
-            raise ConfigError(f"thinning must be >= 1, got {self.thinning}")
-        if int(self.stored_draws) < 1:
-            raise ConfigError(f"stored_draws must be >= 1, got {self.stored_draws}")
+        # counts and the seed become ints here, so no reader converts them
+        for name in ("burn_in", "thinning", "stored_draws", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, least in (("burn_in", 0), ("thinning", 1), ("stored_draws", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.init_beta is not None:
             beta = np.asarray(self.init_beta, dtype=float)
             if not np.all(np.isfinite(beta)):
@@ -195,7 +195,7 @@ class ChainConfig:
 
     @property
     def total_sweeps(self) -> int:
-        return int(self.burn_in) + int(self.thinning) * int(self.stored_draws)
+        return self.burn_in + self.thinning * self.stored_draws
 
     def proposal_sd_for(self, scale_id: int) -> float:
         if isinstance(self.proposal_sd, dict):
@@ -273,6 +273,24 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
     return raw
 
 
+_CLASSES_NAMED = 5
+
+
+def missing_classes(labels: np.ndarray, num_classes: int) -> str:
+    """The classes of 1..num_classes that no label takes as message text, a
+    list such as "[2, 5]" cut after the first few with a count of the rest,
+    or "". O(n log n) in the n labels, so a huge num_classes costs nothing."""
+    present = np.unique(labels)
+    total = num_classes - np.count_nonzero((present >= 1) & (present <= num_classes))
+    if not total:
+        return ""
+    # at most present.size of the first present.size + k classes are taken
+    head = np.arange(1, min(num_classes, present.size + _CLASSES_NAMED) + 1)
+    named = np.setdiff1d(head, present)[:_CLASSES_NAMED].tolist()
+    rest = total - len(named)
+    return f"{named} and {rest} more" if rest else str(named)
+
+
 def evenly_spaced_thresholds(num_classes: int) -> np.ndarray:
     """Fallback starting thresholds: num_classes - 1 points even on [-1, 1]."""
     k = num_classes - 1
@@ -292,17 +310,17 @@ def default_init(dataset: Dataset, prior: Prior):
     beta = prior.mean_vector(dataset.num_features)
     gammas = []
     for s in dataset.scales:
-        rows = dataset.rows_for_scale(s.scale_id)
-        counts = np.bincount(dataset.labels[rows], minlength=s.num_classes + 1)[1:]
-        empty = np.flatnonzero(counts == 0) + 1
-        if rows.size == 0 or empty.size:
-            which = empty.tolist() if rows.size else "all"
+        labels = dataset.labels[dataset.rows_for_scale(s.scale_id)]
+        empty = missing_classes(labels, s.num_classes) if labels.size else "all"
+        if empty:
             raise InitializationError(
-                f"scale {s.scale_id} has empty classes {which}; supply "
+                f"scale {s.scale_id} has empty classes {empty}; supply "
                 "init_gammas explicitly, e.g. evenly spaced thresholds on "
                 "[-1, 1] (evenly_spaced_thresholds)"
             )
-        cum = np.cumsum(counts[:-1]) / rows.size
+        # every class holds a row, so num_classes <= labels.size
+        counts = np.bincount(labels, minlength=s.num_classes + 1)[1:]
+        cum = np.cumsum(counts[:-1]) / labels.size
         g = np.asarray(std_normal_quantile(cum), dtype=float).reshape(-1)
         # Defensive: spread any tied quantiles so the draw stays valid.
         for c in range(1, g.size):

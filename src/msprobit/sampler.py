@@ -102,7 +102,8 @@ class DrawSet:
 
 class _GibbsKernel:
     """The Gibbs sampler for one dataset: run_chains, the tuner and the
-    acceptance gate all step it.
+    acceptance gate all step it. It trusts its dataset: run_chains and the
+    tuner check that with initial_state before they build one.
 
     The state is beta (p,) plus thresholds (T,), every scale's thresholds
     in one flat vector, scale by scale. A sweep is three blocks, each a
@@ -120,7 +121,6 @@ class _GibbsKernel:
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
-        validate_dataset(dataset, allow_zero_columns=True)
         self.dataset = dataset
         self.config = config
         X = dataset.features
@@ -140,11 +140,6 @@ class _GibbsKernel:
         self.scale_rows = [
             dataset.rows_for_scale(s.scale_id) for s in dataset.scales
         ]
-        for s, rows in zip(dataset.scales, self.scale_rows):
-            if rows.size == 0:
-                raise ConfigError(
-                    f"scale {s.scale_id} declared but has no observations"
-                )
         num_thresholds = [s.num_thresholds for s in dataset.scales]
         # the scale index of every threshold of the flat state
         self._threshold_scale = np.repeat(np.arange(len(dataset.scales)), num_thresholds)
@@ -188,34 +183,6 @@ class _GibbsKernel:
         self._above = tpos + 1 + both
         self._row_starts = np.cumsum([0] + [rows.size for rows in self.scale_rows[:-1]])
         self._threshold_starts = np.cumsum([0] + num_thresholds[:-1])
-
-    def initial_state(self):
-        """(beta, thresholds): config.init_beta and init_gammas where set,
-        default_init where not, the per-scale thresholds flattened."""
-        config, dataset = self.config, self.dataset
-        if config.init_beta is None or config.init_gammas is None:
-            beta, gammas = default_init(dataset, config.prior)
-        if config.init_beta is not None:
-            beta = np.asarray(config.init_beta, dtype=float)
-            if beta.shape != (dataset.num_features,):
-                raise ConfigError(
-                    f"init_beta shape {beta.shape} does not match "
-                    f"p={dataset.num_features}"
-                )
-        if config.init_gammas is not None:
-            gammas = [np.asarray(g, dtype=float) for g in config.init_gammas]
-            if len(gammas) != len(dataset.scales):
-                raise ConfigError(
-                    f"init_gammas has {len(gammas)} vectors for "
-                    f"{len(dataset.scales)} scales"
-                )
-            for g, s in zip(gammas, dataset.scales):
-                if g.shape != (s.num_thresholds,):
-                    raise ConfigError(
-                        f"init_gammas for scale {s.scale_id} has shape "
-                        f"{g.shape}, expected ({s.num_thresholds},)"
-                    )
-        return beta, np.concatenate(gammas)
 
     def _per_scale(self, thresholds) -> list:
         """The flat thresholds as one list per scale, for messages."""
@@ -343,6 +310,59 @@ class _GibbsKernel:
         ]
 
 
+def initial_state(dataset: Dataset, config: ChainConfig):
+    """(beta, thresholds) that every chain of a fit starts from:
+    config.init_beta and init_gammas where set, default_init where not, the
+    per-scale thresholds flattened.
+
+    It validates the dataset first and costs O(n log n) whatever the
+    declared class counts, so a fit calls it before it builds anything
+    sized by a class count.
+    """
+    validate_dataset(dataset, allow_zero_columns=True)
+    for s in dataset.scales:
+        if not np.any(dataset.scale_ids == s.scale_id):
+            raise ConfigError(f"scale {s.scale_id} declared but has no observations")
+    if config.init_beta is None or config.init_gammas is None:
+        beta, gammas = default_init(dataset, config.prior)
+    if config.init_beta is not None:
+        beta = np.asarray(config.init_beta, dtype=float)
+        if beta.shape != (dataset.num_features,):
+            raise ConfigError(
+                f"init_beta shape {beta.shape} does not match "
+                f"p={dataset.num_features}"
+            )
+    if config.init_gammas is not None:
+        gammas = [np.asarray(g, dtype=float) for g in config.init_gammas]
+        if len(gammas) != len(dataset.scales):
+            raise ConfigError(
+                f"init_gammas has {len(gammas)} vectors for "
+                f"{len(dataset.scales)} scales"
+            )
+        for g, s in zip(gammas, dataset.scales):
+            if g.shape != (s.num_thresholds,):
+                raise ConfigError(
+                    f"init_gammas for scale {s.scale_id} has shape "
+                    f"{g.shape}, expected ({s.num_thresholds},)"
+                )
+    return beta, np.concatenate(gammas)
+
+
+# the most values one fit may store, num_chains x stored_draws x (p + T)
+MAX_STORED_VALUES = 2**31  # 16 GiB of float64
+
+
+def check_draw_store(num_chains: int, stored_draws: int, width: int):
+    """Raise ConfigError if num_chains x stored_draws draws of width values
+    each exceed MAX_STORED_VALUES."""
+    if num_chains * stored_draws * width > MAX_STORED_VALUES:
+        raise ConfigError(
+            f"{num_chains} chains x {stored_draws} stored draws x {width} "
+            f"parameters exceed the {MAX_STORED_VALUES} stored values (16 GiB) "
+            "one fit may hold"
+        )
+
+
 def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> DrawSet:
     """Run independent chains of burn_in + thinning * stored_draws sweeps,
     keeping every thinning-th post-burn-in state, chain after chain.
@@ -351,18 +371,15 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     deterministic given config.seed, and the first K chains of a run do not
     depend on how many chains follow them. All chains step one kernel.
     """
-    if int(num_chains) < 1:
+    if num_chains < 1:
         raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
+    beta0, thresholds0 = initial_state(dataset, config)
+    check_draw_store(num_chains, config.stored_draws, beta0.size + thresholds0.size)
     kernel = _GibbsKernel(dataset, config)
-    beta0, thresholds0 = kernel.initial_state()
     sds = kernel.proposal_sds()
 
-    total = config.total_sweeps
-    burn_in = int(config.burn_in)
-    thinning = int(config.thinning)
-    stored = int(config.stored_draws)
-    num_chains = int(num_chains)
-    size = num_chains * stored
+    total, burn_in, thinning = config.total_sweeps, config.burn_in, config.thinning
+    size = num_chains * config.stored_draws
 
     beta_draws = np.empty((size, dataset.num_features))
     threshold_draws = np.empty((size, thresholds0.size))
@@ -370,7 +387,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     acc_counts = {s.scale_id: 0 for s in dataset.scales}
 
     out = 0
-    children = np.random.SeedSequence(int(config.seed)).spawn(num_chains)
+    children = np.random.SeedSequence(config.seed).spawn(num_chains)
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         beta, thresholds = beta0, thresholds0
@@ -391,7 +408,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
         beta_draws=beta_draws,
         threshold_draws=threshold_draws,
         scales=dataset.scales,
-        chain_ids=np.repeat(np.arange(num_chains), stored),
+        chain_ids=np.repeat(np.arange(num_chains), config.stored_draws),
         iteration_ids=iteration_ids,
         accept_counts=acc_counts,
         proposal_counts={s.scale_id: num_chains * total for s in dataset.scales},
@@ -430,9 +447,9 @@ def tune_proposal(
     if not 0.0 < float(target_rate) < 1.0:
         raise ConfigError(f"target_rate must be in (0,1), got {target_rate}")
     target = float(target_rate)
+    beta, thresholds = initial_state(dataset, config)
     kernel = _GibbsKernel(dataset, config)
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 0x7459]))
-    beta, thresholds = kernel.initial_state()
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))
     sds = kernel.proposal_sds()
 
     n_scales = len(dataset.scales)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MsprobitError, SimulationError
 from .model import ChainConfig, Dataset, ScaleSpec
-from .sampler import DrawSet, run_chains
+from .sampler import DrawSet, check_draw_store, run_chains
 
 _MAX_REDRAWS = 10_000
 _THRESHOLD_VARIANCE = 5.0
@@ -164,20 +164,26 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.replications) < 1:
+        # counts and the seed become ints here, so no reader converts them
+        for name in ("replications", "num_scales", "obs_per_scale", "num_features",
+                     "min_per_class", "num_chains", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        S, p = int(self.num_scales), int(self.num_features)
+        S, p = self.num_scales, self.num_features
         num_thresholds = _check_design(
-            S, int(self.obs_per_scale), p, self.num_thresholds, int(self.min_per_class)
+            S, self.obs_per_scale, p, self.num_thresholds, self.min_per_class
         )
         object.__setattr__(self, "num_thresholds", num_thresholds)
-        if int(self.num_chains) < 1:
+        if self.num_chains < 1:
             raise ConfigError(f"num_chains must be >= 1, got {self.num_chains}")
         chain = self.chain_config
         for scale_id in range(1, S + 1):
             chain.proposal_sd_for(scale_id)
         chain.prior.mean_vector(p)
         chain.prior.precision_matrix(p)
+        # the multi-scale fit stores the most: p coefficients, every threshold
+        check_draw_store(self.num_chains, chain.stored_draws, p + sum(num_thresholds))
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,7 @@ class ExperimentReport:
     @property
     def completed_replications(self) -> int:
         failed = {f.replication for f in self.failures}
-        return int(self.config.replications) - len(failed)
+        return self.config.replications - len(failed)
 
 
 def _fit_seed(child: np.random.SeedSequence) -> int:
@@ -227,18 +233,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
     ratio_rows: list[tuple] = []
     draw_rows: list[tuple] = []
     failures: list[ReplicationFailure] = []
-    S = int(config.num_scales)
 
-    for r in range(1, int(config.replications) + 1):
-        children = np.random.SeedSequence([int(config.seed), r]).spawn(2 + S)
+    for r in range(1, config.replications + 1):
+        children = np.random.SeedSequence([config.seed, r]).spawn(2 + config.num_scales)
         stage = "simulate"
         try:
             sim = simulate_dataset(
-                S,
-                int(config.obs_per_scale),
-                int(config.num_features),
-                config.num_thresholds,
-                int(config.min_per_class),
+                config.num_scales, config.obs_per_scale, config.num_features,
+                config.num_thresholds, config.min_per_class,
                 np.random.default_rng(children[0]),
             )
             fits: dict[str, DrawSet] = {}
@@ -247,7 +249,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
                 fits[name] = run_chains(
                     data,
                     replace(config.chain_config, seed=_fit_seed(child)),
-                    int(config.num_chains),
+                    config.num_chains,
                 )
             stage = "metrics"
             rep_summary, rep_ratios, rep_draws = _score_replication(r, sim, fits)

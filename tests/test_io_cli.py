@@ -7,6 +7,10 @@ import os
 
 import contextlib
 import io as stdio
+import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -20,7 +24,7 @@ from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError
 from msprobit.model import ChainConfig, ScaleSpec
 from msprobit.presets import preset
-from msprobit.sampler import run_chains
+from msprobit.sampler import MAX_STORED_VALUES, check_draw_store, run_chains
 from tests.files import read_table, read_truth
 
 
@@ -725,6 +729,154 @@ def test_cli_rejects_negative_seed(sim_dir, tmp_path, capsys):
          "--out", str(tmp_path / "o")],
         "seed must be >= 0, got -1",
     )
+
+
+# -- a flag is an edit of its config key ------------------------------------
+
+EVALUATE_CONFIG = {**FIT_CONFIG, "num_splits": 1, "split_fraction": 0.6}
+EXPERIMENT_CONFIG = {**SIM_CONFIG, "replications": 1, "chain": FIT_CONFIG}
+_DESK_DESIGN = {key: preset("experiment1-desk")[key] for key in io.DESIGN_KEYS}
+
+
+def _artifacts(argv, out) -> dict:
+    """Run one command writing to out; every file it wrote, name to bytes."""
+    assert main(argv + ["--out", str(out)]) == 0, argv
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "command, base, flag, key, value, other",
+    [
+        ("fit", FIT_CONFIG, "--seed", "seed", 7, 8),
+        ("fit", FIT_CONFIG, "--chains", "num_chains", 2, 3),
+        ("evaluate", EVALUATE_CONFIG, "--fraction", "split_fraction", 0.7, 0.6),
+        ("evaluate", EVALUATE_CONFIG, "--splits", "num_splits", 2, 1),
+        ("evaluate", EVALUATE_CONFIG, "--seed", "seed", 7, 8),
+        ("simulate", "experiment1-desk", "--seed", "seed", 7, 8),
+        ("experiment", EXPERIMENT_CONFIG, "--seed", "seed", 7, 8),
+    ],
+)
+def test_cli_flag_is_an_edit_of_its_config_key(
+    sim_dir, tmp_path, command, base, flag, key, value, other
+):
+    """A flag writes what its key in the config document writes, and beats
+    that key when both are given."""
+    argv = [command]
+    if command in ("fit", "evaluate"):
+        argv.append(str(sim_dir / "dataset.csv"))
+    flag_argv = [flag, str(value)]
+    if isinstance(base, str):  # a preset: its design part is the --config twin
+        source, base = ["--preset", base], _DESK_DESIGN
+    else:
+        without = {k: v for k, v in base.items() if k != key}
+        source = ["--config", _write_json(tmp_path / "base.json", without)]
+
+    def run(name, setting, flags=()):
+        config = _write_json(tmp_path / f"{name}.json", {**base, key: setting})
+        return _artifacts(argv + ["--config", config, *flags], tmp_path / name)
+
+    key_only = run("key", value)
+    assert _artifacts(argv + source + flag_argv, tmp_path / "flag") == key_only
+    assert run("both", other, flag_argv) == key_only
+    assert run("other", other) != key_only
+
+
+def test_cli_experiment_top_level_num_chains_beats_the_chain_objects(tmp_path):
+    def run(name, top, nested):
+        doc = {**EXPERIMENT_CONFIG, "chain": {**FIT_CONFIG, "num_chains": nested}}
+        if top is not None:
+            doc["num_chains"] = top
+        config = _write_json(tmp_path / f"{name}.json", doc)
+        return _artifacts(["experiment", "--config", config], tmp_path / name)
+
+    assert run("top", 2, 1) == run("nested", None, 2) != run("one", None, 1)
+
+
+# -- counts too large to hold or to loop over --------------------------------
+
+_HUGE = 100000000000000000000
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("fit", FIT_CONFIG, ["--chains", str(_HUGE)]),
+        ("fit", {**FIT_CONFIG, "stored_draws": 4000000000000000000}, []),
+        ("experiment", {**EXPERIMENT_CONFIG, "num_chains": _HUGE}, []),
+    ],
+    ids=["fit-flag", "fit-document", "experiment"],
+)
+def test_cli_rejects_a_draw_store_beyond_the_cap(
+    sim_dir, tmp_path, capsys, command, config, flags
+):
+    data = [str(sim_dir / "dataset.csv")] if command == "fit" else []
+    out = tmp_path / "o"
+    _fails_with_one_line(
+        capsys,
+        [command, *data, "--config", _write_json(tmp_path / "c.json", config), *flags,
+         "--out", str(out)],
+        f"exceed the {MAX_STORED_VALUES} stored values",
+    )
+    assert not out.exists()
+
+
+def test_draw_store_cap_admits_exactly_the_cap():
+    check_draw_store(2, MAX_STORED_VALUES // 8, 4)
+    with pytest.raises(ConfigError, match="2 chains x 268435457 stored draws x 4"):
+        check_draw_store(2, MAX_STORED_VALUES // 8 + 1, 4)
+
+
+def _with_class_count(sim_dir, tmp_path, count):
+    """The simulated dataset with scale 1 declaring count classes."""
+    sidecar = json.loads((sim_dir / "dataset.scales.json").read_text())
+    sidecar["scales"]["1"] = count
+    return str(sim_dir / "dataset.csv"), _write_json(tmp_path / "many.scales.json", sidecar)
+
+
+@pytest.mark.parametrize(
+    "command, count, code",
+    [("fit", 10**6, 1), ("fit", 10**12, 1), ("evaluate", 10**6, 2)],
+)
+def test_cli_names_a_few_of_many_empty_classes(
+    sim_dir, tmp_path, capsys, command, count, code
+):
+    data, sidecar = _with_class_count(sim_dir, tmp_path, count)
+    doc = EVALUATE_CONFIG if command == "evaluate" else FIT_CONFIG
+    config = _write_json(tmp_path / "c.json", doc)
+    capsys.readouterr()
+    argv = [command, data, "--scales", sidecar, "--config", config,
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300, err
+    assert f"[3, 4, 5, 6, 7] and {count - 7} more" in err
+
+
+def test_cli_evaluate_rejects_a_trillion_classes_quickly(sim_dir, tmp_path):
+    # its own process, with a 1 GiB address space, so a class loop or a
+    # class-sized array fails the test instead of running on
+    data, sidecar = _with_class_count(sim_dir, tmp_path, 10**12)
+    config = _write_json(tmp_path / "c.json", EVALUATE_CONFIG)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "msprobit.cli", "evaluate", data, "--scales", sidecar,
+         "--config", config, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert len(done.stderr) < 300, done.stderr
+
+
+def test_cli_predict_accepts_a_scale_with_more_classes_than_rows(
+    sim_dir, draws_path, tmp_path
+):
+    data, sidecar = _with_class_count(sim_dir, tmp_path, 10**12)
+    for scale in ("1", "2"):
+        assert main(["predict", draws_path, data, "--scales", sidecar, "--scale", scale,
+                     "--out", str(tmp_path / scale)]) == 0
 
 
 def test_config_number_conversions():
