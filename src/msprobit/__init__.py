@@ -31,7 +31,6 @@ from .model import (
     Prior,
     ScaleSpec,
     default_init,
-    evenly_spaced_thresholds,
     validate_dataset,
 )
 from .sampler import (
@@ -76,7 +75,6 @@ __all__ = [
     "ValidationError",
     "default_init",
     "evaluate_splits",
-    "evenly_spaced_thresholds",
     "harmonic_mean",
     "log_interval_mass",
     "mcse_mean",

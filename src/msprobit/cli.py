@@ -165,16 +165,18 @@ def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
 
 def cmd_fit(args):
     dataset = _load_dataset(args)
-    config, num_chains = io.chain_config_from_dict(_config_doc(args, _chain_part))
+    config = io.chain_config_from_dict(_config_doc(args, _chain_part))
     if args.standardize:
         mean, sd = fit_standardizer(dataset.features)
         dataset = replace(dataset, features=(dataset.features - mean) / sd)
-        io.write_standardizer(_out_path(args, "standardization.json"), mean, sd)
 
     t0 = time.monotonic()
-    draws = run_chains(dataset, config, num_chains)
+    draws = run_chains(dataset, config)
     elapsed = time.monotonic() - t0
     print(f"sampling took {elapsed:.1f}s", file=sys.stderr)
+
+    if args.standardize:  # only a fit that succeeded leaves its transform
+        io.write_standardizer(_out_path(args, "standardization.json"), mean, sd)
 
     io.write_draws(_out_path(args, "draws.csv"), draws)
     io.write_json(
@@ -214,12 +216,11 @@ def cmd_predict(args):
             )
         X = (X - mean) / sd
 
+    scores = latent_scores(draws.beta_draws, X)
     # posterior-averaged (n, C)
-    probs = class_probabilities(
-        draws.beta_draws, draws.gamma_draws_for(target), X
-    ).mean(axis=2)
+    probs = class_probabilities(scores, draws.gamma_draws_for(target)).mean(axis=2)
     map_class = np.argmax(probs, axis=1) + 1
-    rank = latent_scores(draws.beta_draws, X).mean(axis=1)
+    rank = scores.mean(axis=1)
     n = X.shape[0]
 
     header = ["row", "scale_id", "label", "rank_score", "map_class"] + [
@@ -243,7 +244,7 @@ def cmd_evaluate(args):
     doc = _config_doc(args, _chain_part)
     fraction = io.config_number(doc.pop("split_fraction", 2.0 / 3.0), "split_fraction")
     splits = io.config_number(doc.pop("num_splits", 10), "num_splits", integer=True)
-    config, num_chains = io.chain_config_from_dict(doc)
+    config = io.chain_config_from_dict(doc)
 
     report = evaluate_splits(
         dataset,
@@ -251,7 +252,6 @@ def cmd_evaluate(args):
         splits,
         config,
         np.random.default_rng(np.random.SeedSequence(config.seed)),
-        num_chains=num_chains,
         standardize=bool(args.standardize),
     )
     io.write_table(_out_path(args, "eval_long.csv"), io.LONG_HEADER, report.long_rows)

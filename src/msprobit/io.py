@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -258,9 +259,9 @@ def write_table(path: str, header: list[str], rows: Iterable[tuple]):
 # -- configs ---------------------------------------------------------------
 
 
-def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
-    """Build a chain configuration from a JSON document; returns the config
-    and the chain count (default 1). Unknown keys are rejected."""
+def chain_config_from_dict(doc: dict) -> ChainConfig:
+    """Build a chain configuration from a JSON document. Unknown keys are
+    rejected."""
     allowed = {
         "prior",
         "proposal_sd",
@@ -306,7 +307,7 @@ def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
             ) from None
     else:
         proposal_sd = config_number(proposal_sd, "proposal_sd")
-    config = ChainConfig(
+    return ChainConfig(
         prior=prior,
         proposal_sd=proposal_sd,
         burn_in=config_number(doc.get("burn_in", 50_000), "burn_in", integer=True),
@@ -315,11 +316,8 @@ def chain_config_from_dict(doc: dict) -> tuple[ChainConfig, int]:
             doc.get("stored_draws", 500), "stored_draws", integer=True
         ),
         seed=config_number(doc.get("seed", 0), "seed", integer=True, minimum=0),
+        num_chains=config_number(doc.get("num_chains", 1), "num_chains", integer=True),
     )
-    num_chains = config_number(
-        doc.get("num_chains", 1), "num_chains", integer=True, minimum=1
-    )
-    return config, num_chains
 
 
 DESIGN_KEYS = (
@@ -349,10 +347,8 @@ def design_from_dict(doc: dict, command: str) -> dict:
         design["num_thresholds"] = tuple(
             config_number(t, "num_thresholds", integer=True) for t in thresholds
         )
-    else:
-        design["num_thresholds"] = (
-            config_number(thresholds, "num_thresholds", integer=True),
-        ) * design["num_scales"]
+    else:  # simulate_dataset gives every scale this count
+        design["num_thresholds"] = config_number(thresholds, "num_thresholds", integer=True)
     return design
 
 
@@ -369,14 +365,14 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     chain_doc = doc.get("chain", {})
     if not isinstance(chain_doc, dict):
         raise ConfigError("chain must be an object")
-    chain_config, num_chains = chain_config_from_dict(chain_doc)
+    chain_config = chain_config_from_dict(chain_doc)
     if "num_chains" in doc:  # beats the chain object's, checked the same way
-        _, num_chains = chain_config_from_dict({"num_chains": doc["num_chains"]})
+        top = config_number(doc["num_chains"], "num_chains", integer=True)
+        chain_config = replace(chain_config, num_chains=top)
     return ExperimentConfig(
         replications=config_number(doc["replications"], "replications", integer=True),
         **design_from_dict(doc, "experiment"),
         chain_config=chain_config,
-        num_chains=num_chains,
     )
 
 

@@ -150,32 +150,31 @@ def latent_scores(beta_draws: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X @ beta_draws.T
 
 
-def class_probabilities(
-    beta_draws: np.ndarray, gamma_draws: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Class probabilities of every row of X under every draw, shape (n, C, M).
+def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
+    """Class probabilities of every row under every draw, shape (n, C, M),
+    from the (n, M) latent_scores and the (M, C - 1) threshold draws.
 
-    Under draw m the latent mean of row i is X[i] @ beta_draws[m]; class c
-    gets the normal mass between thresholds c-1 and c of gamma_draws[m],
-    with -inf and +inf closing the ends, so each (i, :, m) sums to 1.
+    Under draw m class c gets the normal mass around scores[i, m] between
+    thresholds c-1 and c of gamma_draws[m], with -inf and +inf closing the
+    ends, so each (i, :, m) sums to 1.
     """
-    scores = latent_scores(beta_draws, X)
     n, m = scores.shape
     num_classes = gamma_draws.shape[1] + 1
-    cdf = np.empty((n, num_classes + 1, m))
-    cdf[:, 0, :] = 0.0
-    cdf[:, -1, :] = 1.0
+    probs = np.empty((n, num_classes, m))
+    below = 0.0  # the normal mass below the lower threshold of class c
     for c in range(num_classes - 1):
-        cdf[:, c + 1, :] = ndtr(gamma_draws[:, c][None, :] - scores)
-    return np.diff(cdf, axis=1)
+        upto = ndtr(gamma_draws[:, c] - scores)
+        probs[:, c, :] = upto - below
+        below = upto
+    probs[:, -1, :] = 1.0 - below
+    return probs
 
 
-def classify_draws(
-    beta_draws: np.ndarray, gamma_draws: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Most probable class of every row of X under every draw, as an (n, M)
-    matrix of 1-based labels; ties go to the lower class."""
-    return np.argmax(class_probabilities(beta_draws, gamma_draws, X), axis=1) + 1
+def classify_draws(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
+    """Most probable class of every row under every draw, from the (n, M)
+    latent_scores, as an (n, M) matrix of 1-based labels; ties go to the
+    lower class."""
+    return np.argmax(class_probabilities(scores, gamma_draws), axis=1) + 1
 
 
 def fit_standardizer(X_train: np.ndarray):
@@ -227,12 +226,12 @@ def _side_metric_rows(
     if labels.size == 0:
         values = {name: np.full(m, np.nan) for name in names}
     else:
-        gamma_draws = drawset.gamma_draws_for(scale.scale_id)
-        pred = classify_draws(drawset.beta_draws, gamma_draws, X)
+        scores = latent_scores(drawset.beta_draws, X)
+        pred = classify_draws(scores, drawset.gamma_draws_for(scale.scale_id))
         f1_class, f1_macro, _ = f1_from_counts(
             confusion_counts(pred, labels, scale.num_classes)
         )
-        tau = kendall_tau_b_columns(latent_scores(drawset.beta_draws, X), labels)
+        tau = kendall_tau_b_columns(scores, labels)
         harm = harmonic_mean(f1_macro, np.where(tau < 0, 0.0, tau))
         values = {"f1_macro": f1_macro, "tau_b": tau, "harmonic": harm}
         for c in range(scale.num_classes):
@@ -302,7 +301,6 @@ def evaluate_splits(
     num_splits: int,
     chain_config: ChainConfig,
     rng: np.random.Generator,
-    num_chains: int = 1,
     standardize: bool = False,
 ) -> EvaluationReport:
     """Repeated random-split comparison of multi-scale vs single-scale fits.
@@ -331,9 +329,7 @@ def evaluate_splits(
             test = replace(test, features=(test.features - mean) / sd)
 
         multi, *singles = [
-            run_chains(
-                data, replace(chain_config, seed=int(rng.integers(2**63))), num_chains
-            )
+            run_chains(data, replace(chain_config, seed=int(rng.integers(2**63))))
             for _, data in train.model_grid()
         ]
 

@@ -160,7 +160,8 @@ class ChainConfig:
 
     proposal_sd is the standard deviation of the threshold random-walk
     proposal, either one value for all scales or a mapping scale_id -> sd.
-    Total sweeps = burn_in + thinning * stored_draws.
+    Each of the num_chains chains runs chain_sweeps = burn_in + thinning *
+    stored_draws sweeps; total_sweeps counts those of every chain.
     """
 
     prior: Prior = field(default_factory=Prior)
@@ -169,33 +170,24 @@ class ChainConfig:
     thinning: int = 100
     stored_draws: int = 500
     seed: int = 0
-    init_beta: np.ndarray | None = None
-    init_gammas: tuple[np.ndarray, ...] | None = None
+    num_chains: int = 1
 
     def __post_init__(self):
         # counts and the seed become ints here, so no reader converts them
-        for name in ("burn_in", "thinning", "stored_draws", "seed"):
+        for name in ("burn_in", "thinning", "stored_draws", "seed", "num_chains"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name, least in (("burn_in", 0), ("thinning", 1), ("stored_draws", 1)):
+        for name, least in (("burn_in", 0), ("thinning", 1), ("stored_draws", 1),
+                            ("num_chains", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if self.init_beta is not None:
-            beta = np.asarray(self.init_beta, dtype=float)
-            if not np.all(np.isfinite(beta)):
-                raise ConfigError(f"init_beta must be finite: {beta}")
-        if self.init_gammas is not None:
-            for g in self.init_gammas:
-                arr = np.asarray(g, dtype=float)
-                if not np.all(np.isfinite(arr)):
-                    raise ConfigError(f"init_gammas must be finite: {arr}")
-                if arr.size > 1 and not np.all(np.diff(arr) > 0):
-                    raise ConfigError(
-                        f"init_gammas not strictly increasing: {arr}"
-                    )
+
+    @property
+    def chain_sweeps(self) -> int:
+        return self.burn_in + self.thinning * self.stored_draws
 
     @property
     def total_sweeps(self) -> int:
-        return self.burn_in + self.thinning * self.stored_draws
+        return self.num_chains * self.chain_sweeps
 
     def proposal_sd_for(self, scale_id: int) -> float:
         if isinstance(self.proposal_sd, dict):
@@ -291,21 +283,13 @@ def missing_classes(labels: np.ndarray, num_classes: int) -> str:
     return f"{named} and {rest} more" if rest else str(named)
 
 
-def evenly_spaced_thresholds(num_classes: int) -> np.ndarray:
-    """Fallback starting thresholds: num_classes - 1 points even on [-1, 1]."""
-    k = num_classes - 1
-    if k == 1:
-        return np.zeros(1)
-    return np.linspace(-1.0, 1.0, k)
-
-
 def default_init(dataset: Dataset, prior: Prior):
     """Starting state: beta at the prior mean, thresholds at the
     standard-normal quantiles of each scale's empirical cumulative class
     frequencies.
 
     Raises when any scale has an empty class, since that puts a quantile at
-    infinity; the error suggests evenly spaced thresholds on [-1, 1].
+    infinity.
     """
     beta = prior.mean_vector(dataset.num_features)
     gammas = []
@@ -314,9 +298,8 @@ def default_init(dataset: Dataset, prior: Prior):
         empty = missing_classes(labels, s.num_classes) if labels.size else "all"
         if empty:
             raise InitializationError(
-                f"scale {s.scale_id} has empty classes {empty}; supply "
-                "init_gammas explicitly, e.g. evenly spaced thresholds on "
-                "[-1, 1] (evenly_spaced_thresholds)"
+                f"scale {s.scale_id} has empty classes {empty}; every class "
+                "needs at least one observation"
             )
         # every class holds a row, so num_classes <= labels.size
         counts = np.bincount(labels, minlength=s.num_classes + 1)[1:]

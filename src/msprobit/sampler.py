@@ -311,9 +311,8 @@ class _GibbsKernel:
 
 
 def initial_state(dataset: Dataset, config: ChainConfig):
-    """(beta, thresholds) that every chain of a fit starts from:
-    config.init_beta and init_gammas where set, default_init where not, the
-    per-scale thresholds flattened.
+    """(beta, thresholds) that every chain of a fit starts from: default_init
+    with the per-scale thresholds flattened.
 
     It validates the dataset first and costs O(n log n) whatever the
     declared class counts, so a fit calls it before it builds anything
@@ -323,28 +322,7 @@ def initial_state(dataset: Dataset, config: ChainConfig):
     for s in dataset.scales:
         if not np.any(dataset.scale_ids == s.scale_id):
             raise ConfigError(f"scale {s.scale_id} declared but has no observations")
-    if config.init_beta is None or config.init_gammas is None:
-        beta, gammas = default_init(dataset, config.prior)
-    if config.init_beta is not None:
-        beta = np.asarray(config.init_beta, dtype=float)
-        if beta.shape != (dataset.num_features,):
-            raise ConfigError(
-                f"init_beta shape {beta.shape} does not match "
-                f"p={dataset.num_features}"
-            )
-    if config.init_gammas is not None:
-        gammas = [np.asarray(g, dtype=float) for g in config.init_gammas]
-        if len(gammas) != len(dataset.scales):
-            raise ConfigError(
-                f"init_gammas has {len(gammas)} vectors for "
-                f"{len(dataset.scales)} scales"
-            )
-        for g, s in zip(gammas, dataset.scales):
-            if g.shape != (s.num_thresholds,):
-                raise ConfigError(
-                    f"init_gammas for scale {s.scale_id} has shape "
-                    f"{g.shape}, expected ({s.num_thresholds},)"
-                )
+    beta, gammas = default_init(dataset, config.prior)
     return beta, np.concatenate(gammas)
 
 
@@ -363,22 +341,22 @@ def check_draw_store(num_chains: int, stored_draws: int, width: int):
         )
 
 
-def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> DrawSet:
-    """Run independent chains of burn_in + thinning * stored_draws sweeps,
-    keeping every thinning-th post-burn-in state, chain after chain.
+def run_chains(dataset: Dataset, config: ChainConfig) -> DrawSet:
+    """Run config.num_chains independent chains of burn_in + thinning *
+    stored_draws sweeps, keeping every thinning-th post-burn-in state,
+    chain after chain.
 
     Chain i consumes child i of SeedSequence(seed), so the result is
     deterministic given config.seed, and the first K chains of a run do not
     depend on how many chains follow them. All chains step one kernel.
     """
-    if num_chains < 1:
-        raise ConfigError(f"num_chains must be >= 1, got {num_chains}")
+    num_chains = config.num_chains
     beta0, thresholds0 = initial_state(dataset, config)
     check_draw_store(num_chains, config.stored_draws, beta0.size + thresholds0.size)
     kernel = _GibbsKernel(dataset, config)
     sds = kernel.proposal_sds()
 
-    total, burn_in, thinning = config.total_sweeps, config.burn_in, config.thinning
+    sweeps, burn_in, thinning = config.chain_sweeps, config.burn_in, config.thinning
     size = num_chains * config.stored_draws
 
     beta_draws = np.empty((size, dataset.num_features))
@@ -391,7 +369,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         beta, thresholds = beta0, thresholds0
-        for m in range(1, total + 1):
+        for m in range(1, sweeps + 1):
             try:
                 beta, thresholds, accepts = kernel.sweep(beta, thresholds, sds, rng)
             except MsprobitError as exc:
@@ -411,7 +389,7 @@ def run_chains(dataset: Dataset, config: ChainConfig, num_chains: int = 1) -> Dr
         chain_ids=np.repeat(np.arange(num_chains), config.stored_draws),
         iteration_ids=iteration_ids,
         accept_counts=acc_counts,
-        proposal_counts={s.scale_id: num_chains * total for s in dataset.scales},
+        proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
     )
 
 
@@ -437,12 +415,13 @@ def tune_proposal(
 ) -> dict[int, float]:
     """Pilot-tune the per-scale proposal sd toward a target acceptance rate.
 
-    Doubles or halves each scale's sd per 200-sweep window until the target
-    is bracketed, then bisects geometrically, confirming with 1000-sweep
-    windows; a scale is done when a confirmation window lands within 0.03
-    of the target. Pilot sweeps are never stored. Raises TuningError with
-    the full rate trajectory if any scale is still unsettled after 20
-    windows.
+    After config.burn_in sweeps at the starting sds, so that no window sees
+    the transient of the starting state, doubles or halves each scale's sd
+    per 200-sweep window until the target is bracketed, then bisects
+    geometrically, confirming with 1000-sweep windows; a scale is done when
+    a confirmation window lands within 0.03 of the target. Pilot sweeps are
+    never stored. Raises TuningError with the full rate trajectory if any
+    scale is still unsettled after 20 windows.
     """
     if not 0.0 < float(target_rate) < 1.0:
         raise ConfigError(f"target_rate must be in (0,1), got {target_rate}")
@@ -451,6 +430,8 @@ def tune_proposal(
     kernel = _GibbsKernel(dataset, config)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))
     sds = kernel.proposal_sds()
+    for _ in range(config.burn_in):
+        beta, thresholds, _ = kernel.sweep(beta, thresholds, sds, rng)
 
     n_scales = len(dataset.scales)
     lo = [None] * n_scales  # largest sd seen with rate above target

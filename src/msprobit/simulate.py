@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MsprobitError, SimulationError
 from .model import ChainConfig, Dataset, ScaleSpec
-from .sampler import DrawSet, check_draw_store, run_chains
+from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_chains
 
 _MAX_REDRAWS = 10_000
 _THRESHOLD_VARIANCE = 5.0
@@ -45,7 +45,15 @@ def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 def _check_design(S: int, n: int, p: int, num_thresholds, k: int) -> tuple[int, ...]:
     """Raise ConfigError unless simulate_dataset can draw this design;
-    returns num_thresholds as a tuple of ints."""
+    returns num_thresholds, one count for every scale or one per scale, as
+    a tuple of ints. The size is checked before anything is allocated."""
+    if min(S, n, p) >= 1 and S * n * p > MAX_STORED_VALUES:
+        raise ConfigError(
+            f"{S} scales x {n} rows x {p} features exceed the "
+            f"{MAX_STORED_VALUES} feature values (16 GiB) one dataset may hold"
+        )
+    if isinstance(num_thresholds, int):
+        num_thresholds = (num_thresholds,) * S
     num_thresholds = tuple(int(t) for t in num_thresholds)
     if len(num_thresholds) != S:
         raise ConfigError(
@@ -78,6 +86,7 @@ def simulate_dataset(
     standard-normal feature matrix, then repeatedly: thresholds as sorted
     iid Normal(0, variance 5) values, latents ~ N(x.beta, 1), labels by
     interval lookup, until every class has at least k observations.
+    num_thresholds is one count for every scale or a sequence of S counts.
     """
     num_thresholds = _check_design(S, n, p, num_thresholds, k)
 
@@ -157,16 +166,15 @@ class ExperimentConfig:
     num_scales: int
     obs_per_scale: int
     num_features: int
-    num_thresholds: tuple[int, ...]
+    num_thresholds: int | tuple[int, ...]
     min_per_class: int = 1
     chain_config: ChainConfig = field(default_factory=ChainConfig)
-    num_chains: int = 1
     seed: int = 0
 
     def __post_init__(self):
         # counts and the seed become ints here, so no reader converts them
         for name in ("replications", "num_scales", "obs_per_scale", "num_features",
-                     "min_per_class", "num_chains", "seed"):
+                     "min_per_class", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
@@ -175,15 +183,13 @@ class ExperimentConfig:
             S, self.obs_per_scale, p, self.num_thresholds, self.min_per_class
         )
         object.__setattr__(self, "num_thresholds", num_thresholds)
-        if self.num_chains < 1:
-            raise ConfigError(f"num_chains must be >= 1, got {self.num_chains}")
         chain = self.chain_config
         for scale_id in range(1, S + 1):
             chain.proposal_sd_for(scale_id)
         chain.prior.mean_vector(p)
         chain.prior.precision_matrix(p)
         # the multi-scale fit stores the most: p coefficients, every threshold
-        check_draw_store(self.num_chains, chain.stored_draws, p + sum(num_thresholds))
+        check_draw_store(chain.num_chains, chain.stored_draws, p + sum(num_thresholds))
 
 
 @dataclass(frozen=True)
@@ -247,9 +253,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
             for (name, data), child in zip(sim.dataset.model_grid(), children[1:]):
                 stage = f"fit-{name}"
                 fits[name] = run_chains(
-                    data,
-                    replace(config.chain_config, seed=_fit_seed(child)),
-                    config.num_chains,
+                    data, replace(config.chain_config, seed=_fit_seed(child))
                 )
             stage = "metrics"
             rep_summary, rep_ratios, rep_draws = _score_replication(r, sim, fits)

@@ -257,7 +257,7 @@ def test_criterion_06_tuned_acceptance_rates():
             np.random.default_rng(np.random.SeedSequence([20260822, 6])),
         )
         ds = sim.dataset
-        base, _ = io.chain_config_from_dict(doc["chain"])
+        base = io.chain_config_from_dict(doc["chain"])
         tuned = tune_proposal(ds, replace(base, seed=60), target_rate=0.234)
         check = replace(
             base,

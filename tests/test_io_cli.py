@@ -119,7 +119,7 @@ def test_read_draws_rejects_foreign_header(tmp_path):
 
 
 def test_chain_config_from_dict():
-    config, chains = io.chain_config_from_dict(
+    config = io.chain_config_from_dict(
         {
             "burn_in": 100,
             "thinning": 2,
@@ -130,7 +130,7 @@ def test_chain_config_from_dict():
             "num_chains": 3,
         }
     )
-    assert chains == 3
+    assert config.num_chains == 3
     assert config.burn_in == 100
     assert config.proposal_sd_for(2) == 1.5
     assert config.prior.precision == 2.0
@@ -375,6 +375,18 @@ def test_cli_fit_standardize_writes_transform(sim_dir, tmp_path):
     )
     np.testing.assert_allclose(mean, ds.features.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(sd, ds.features.std(axis=0), rtol=1e-12)
+
+
+def test_cli_failed_fit_leaves_no_transform(sim_dir, tmp_path, capsys):
+    config = _write_json(tmp_path / "fit.json", {**FIT_CONFIG, "prior": {"precision": -1}})
+    out = tmp_path / "fit_std"
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--config", config, "--standardize",
+         "--out", str(out)],
+        "scalar prior precision must be finite and > 0",
+    )
+    assert not out.exists()
 
 
 # -- malformed inputs end in one line and exit 1 ---------------------------
@@ -816,6 +828,28 @@ def test_cli_rejects_a_draw_store_beyond_the_cap(
         [command, *data, "--config", _write_json(tmp_path / "c.json", config), *flags,
          "--out", str(out)],
         f"exceed the {MAX_STORED_VALUES} stored values",
+    )
+    assert not out.exists()
+
+
+_HUGE_DESIGN = {**SIM_CONFIG, "obs_per_scale": 1000000000000}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("simulate", _HUGE_DESIGN),
+        ("experiment", {**_HUGE_DESIGN, "replications": 1, "chain": FIT_CONFIG}),
+        ("simulate", {**SIM_CONFIG, "num_scales": 1000000000000, "num_thresholds": 1}),
+    ],
+    ids=["simulate-rows", "experiment-rows", "simulate-scales"],
+)
+def test_cli_rejects_a_dataset_beyond_the_cap(tmp_path, capsys, command, config):
+    out = tmp_path / "o"
+    _fails_with_one_line(
+        capsys,
+        [command, "--config", _write_json(tmp_path / "c.json", config), "--out", str(out)],
+        f"features exceed the {MAX_STORED_VALUES} feature values",
     )
     assert not out.exists()
 

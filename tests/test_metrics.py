@@ -205,9 +205,7 @@ def test_harmonic_mean_hand_cases():
 
 
 def test_predict_class_probs_reference():
-    probs = class_probabilities(
-        np.array([[0.7]]), np.array([[-1.0, 1.0]]), np.array([[0.0]])
-    )
+    probs = class_probabilities(np.array([[0.0]]), np.array([[-1.0, 1.0]]))
     assert probs.shape == (1, 3, 1)
     np.testing.assert_allclose(
         probs[0, :, 0],
@@ -218,9 +216,7 @@ def test_predict_class_probs_reference():
 
 
 def test_predict_class_probs_shifts_with_eta():
-    probs = class_probabilities(
-        np.array([[1.0]]), np.array([[0.0]]), np.array([[-2.0], [2.0]])
-    )
+    probs = class_probabilities(np.array([[-2.0], [2.0]]), np.array([[0.0]]))
     low, high = probs[0, :, 0], probs[1, :, 0]
     assert low[0] > 0.9 and high[1] > 0.9
 
@@ -244,14 +240,15 @@ def test_predict_class_probs_ambiguous_scale_needs_index():
     scales = (ScaleSpec(1, 2), ScaleSpec(2, 2))
     draws = _drawset_from([[0.0]], [[0.0, 1.0]], scales)
     X = np.array([[0.0]])
-    first = class_probabilities(draws.beta_draws, draws.gamma_draws_for(1), X)
-    second = class_probabilities(draws.beta_draws, draws.gamma_draws_for(2), X)
+    scores = latent_scores(draws.beta_draws, X)
+    first = class_probabilities(scores, draws.gamma_draws_for(1))
+    second = class_probabilities(scores, draws.gamma_draws_for(2))
     assert first[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
     assert second[0, 0, 0] == pytest.approx(0.84134474606854295, rel=1e-12)
 
 
 def test_classify_tie_goes_to_lower_class():
-    pred = classify_draws(np.array([[1.0]]), np.array([[0.0]]), np.array([[0.0]]))
+    pred = classify_draws(np.array([[0.0]]), np.array([[0.0]]))
     assert pred.tolist() == [[1]]
 
 
@@ -263,9 +260,7 @@ def test_classify_monotone_in_latent_score():
         if k > 1 and np.any(np.diff(gamma) <= 0):
             continue
         etas = np.linspace(-6, 6, 61)
-        labels = classify_draws(
-            np.array([[1.0]]), gamma[None, :], etas[:, None]
-        )[:, 0]
+        labels = classify_draws(etas[:, None], gamma[None, :])[:, 0]
         assert np.all(np.diff(labels) >= 0)
 
 
@@ -275,8 +270,9 @@ def test_classify_draws_matches_pointwise():
     gammas = np.sort(g.normal(size=(m, 3)), axis=1)
     betas = g.normal(size=(m, 2))
     X = g.normal(size=(15, 2))
-    mat = classify_draws(betas, gammas, X)
-    probs = class_probabilities(betas, gammas, X)
+    scores = latent_scores(betas, X)
+    mat = classify_draws(scores, gammas)
+    probs = class_probabilities(scores, gammas)
     for i in range(15):
         for d in range(m):
             edges = np.concatenate(([-np.inf], gammas[d], [np.inf]))

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ from msprobit.model import (
     Prior,
     ScaleSpec,
     default_init,
-    evenly_spaced_thresholds,
     validate_dataset,
 )
 
@@ -129,8 +127,11 @@ def test_chain_config_validation():
         ChainConfig(thinning=0)
     with pytest.raises(ConfigError):
         ChainConfig(stored_draws=0)
+    with pytest.raises(ConfigError, match="num_chains must be >= 1, got 0"):
+        ChainConfig(num_chains=0)
     cfg = ChainConfig(burn_in=10, thinning=2, stored_draws=5)
-    assert cfg.total_sweeps == 20
+    assert cfg.total_sweeps == cfg.chain_sweeps == 20
+    assert ChainConfig(burn_in=10, thinning=2, stored_draws=5, num_chains=3).total_sweeps == 60
 
 
 def test_chain_config_proposal_lookup():
@@ -141,28 +142,6 @@ def test_chain_config_proposal_lookup():
     with pytest.raises(ConfigError):
         ChainConfig(proposal_sd={1: -0.1}).proposal_sd_for(1)
     assert ChainConfig(proposal_sd=0.7).proposal_sd_for(99) == 0.7
-
-
-def test_chain_config_rejects_unordered_init_gammas():
-    with pytest.raises(ConfigError):
-        ChainConfig(init_gammas=(np.array([1.0, 0.0]),))
-
-
-def test_chain_config_rejects_non_finite_init_gammas():
-    for bad in ([0.0, math.inf], [-math.inf, 0.0], [math.nan], [math.inf]):
-        with pytest.raises(ConfigError, match="init_gammas must be finite"):
-            ChainConfig(init_gammas=(np.array([0.0]), np.array(bad)))
-
-
-def test_chain_config_rejects_non_finite_init_beta():
-    for bad in ([0.0, math.inf], [math.nan, 1.0], [-math.inf]):
-        with pytest.raises(ConfigError, match="init_beta must be finite"):
-            ChainConfig(init_beta=np.array(bad))
-
-
-def test_evenly_spaced_thresholds():
-    np.testing.assert_array_equal(evenly_spaced_thresholds(2), [0.0])
-    np.testing.assert_allclose(evenly_spaced_thresholds(4), [-1.0, 0.0, 1.0])
 
 
 def test_default_init_quantile_thresholds():
@@ -186,7 +165,7 @@ def test_default_init_quantile_thresholds():
 
 def test_default_init_rejects_empty_class():
     ds = small_dataset(labels=(1, 1, 1, 1, 1))
-    with pytest.raises(InitializationError, match="evenly"):
+    with pytest.raises(InitializationError, match="every class needs at least one"):
         default_init(ds, Prior())
 
 

@@ -6,15 +6,17 @@ log-space production path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from msprobit import sampler
+from msprobit import io, sampler
 from msprobit.errors import ConfigError, InitializationError
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
+from msprobit.presets import preset
 from msprobit.sampler import (
     DrawSet,
     _GibbsKernel,
@@ -22,6 +24,7 @@ from msprobit.sampler import (
     run_chains,
     tune_proposal,
 )
+from msprobit.simulate import simulate_dataset
 from tests.conftest import make_two_scale_dataset
 
 
@@ -362,7 +365,7 @@ def test_every_stored_draw_is_ordered(two_scale_dataset):
 def test_run_chains_default_is_one_chain(two_scale_dataset):
     cfg = ChainConfig(burn_in=30, thinning=2, stored_draws=20, seed=17)
     one = run_chains(two_scale_dataset, cfg)
-    multi = run_chains(two_scale_dataset, cfg, 1)
+    multi = run_chains(two_scale_dataset, replace(cfg, num_chains=1))
     np.testing.assert_array_equal(one.beta_draws, multi.beta_draws)
     np.testing.assert_array_equal(one.iteration_ids, multi.iteration_ids)
 
@@ -370,8 +373,8 @@ def test_run_chains_default_is_one_chain(two_scale_dataset):
 @pytest.mark.parametrize("k", [1, 2])
 def test_run_chains_leading_chains_do_not_depend_on_chain_count(two_scale_dataset, k):
     cfg = ChainConfig(burn_in=30, thinning=2, stored_draws=20, seed=17)
-    fewer = run_chains(two_scale_dataset, cfg, k)
-    more = run_chains(two_scale_dataset, cfg, k + 1)
+    fewer = run_chains(two_scale_dataset, replace(cfg, num_chains=k))
+    more = run_chains(two_scale_dataset, replace(cfg, num_chains=k + 1))
     lead = slice(0, len(fewer))
     np.testing.assert_array_equal(more.beta_draws[lead], fewer.beta_draws)
     np.testing.assert_array_equal(more.threshold_draws[lead], fewer.threshold_draws)
@@ -382,7 +385,7 @@ def test_run_chains_leading_chains_do_not_depend_on_chain_count(two_scale_datase
 
 def test_run_chains_concatenation(two_scale_dataset):
     cfg = ChainConfig(burn_in=30, thinning=2, stored_draws=20, seed=17)
-    draws = run_chains(two_scale_dataset, cfg, 3)
+    draws = run_chains(two_scale_dataset, replace(cfg, num_chains=3))
     assert len(draws) == 60
     assert set(draws.chain_ids.tolist()) == {0, 1, 2}
     # chains differ
@@ -395,7 +398,7 @@ def test_run_chains_concatenation(two_scale_dataset):
 def test_run_chain_recovers_coefficients():
     ds, beta_true = make_two_scale_dataset(seed=12, n_per=150)
     cfg = ChainConfig(burn_in=400, thinning=2, stored_draws=300, seed=2)
-    draws = run_chains(ds, cfg, 1)
+    draws = run_chains(ds, cfg)
     est = draws.beta_draws.mean(axis=0)
     assert np.corrcoef(est, beta_true)[0, 1] > 0.9
 
@@ -409,22 +412,6 @@ def test_chain_rejects_empty_scale():
     )
     with pytest.raises((ConfigError, InitializationError)):
         run_chains(ds, ChainConfig(burn_in=1, thinning=1, stored_draws=1))
-
-
-def test_chain_init_overrides(two_scale_dataset):
-    cfg = ChainConfig(
-        burn_in=5,
-        thinning=1,
-        stored_draws=5,
-        seed=3,
-        init_beta=np.array([5.0, 5.0, 5.0]),
-        init_gammas=(np.array([0.0]), np.array([-1.0, 1.0])),
-    )
-    draws = run_chains(two_scale_dataset, cfg)
-    assert len(draws) == 5
-    bad = ChainConfig(burn_in=5, thinning=1, stored_draws=5, init_beta=np.zeros(7))
-    with pytest.raises(ConfigError, match="init_beta"):
-        run_chains(two_scale_dataset, bad)
 
 
 def test_mcse_mean_scaling(rng):
@@ -446,6 +433,17 @@ def test_tune_proposal_reaches_band(two_scale_dataset):
     rates = run_chains(two_scale_dataset, check).accept_rate
     for sid, rate in rates.items():
         assert 0.18 <= rate <= 0.42, (sid, rate, tuned)
+
+
+@pytest.mark.parametrize("seed", [3, 6, 7])
+def test_tune_proposal_settles_at_p_above_n(seed):
+    # the experiment2 design, 3 x 40 rows of 48 features: without a burn-in
+    # before the first window, the start's transient rate closed a bracket
+    # that later windows contradicted, and tuning never settled
+    sim = simulate_dataset(3, 40, 48, (1, 3, 3), 1, np.random.default_rng(seed))
+    config = io.chain_config_from_dict(preset("experiment2-desk")["chain"])
+    tuned = tune_proposal(sim.dataset, config, target_rate=0.234)
+    assert set(tuned) == {1, 2, 3}
 
 
 def test_tune_proposal_validates_target(two_scale_dataset):

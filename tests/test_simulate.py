@@ -110,7 +110,6 @@ def _tiny_experiment(replications=1, seed=0):
         num_thresholds=(1, 2),
         min_per_class=2,
         chain_config=ChainConfig(burn_in=60, thinning=1, stored_draws=40, seed=0),
-        num_chains=1,
         seed=seed,
     )
 
@@ -215,11 +214,11 @@ def test_experiment_failure_census(monkeypatch):
 def test_experiment_failure_census_names_the_failed_fit(monkeypatch, failing):
     real_run_chains = sim_mod.run_chains
 
-    def run_chains(dataset, config, num_chains=1):
+    def run_chains(dataset, config):
         scale_ids = [s.scale_id for s in dataset.scales]
         if failing == ("multi" if len(scale_ids) > 1 else f"single-{scale_ids[0]}"):
             raise SamplerPanicError("injected failure")
-        return real_run_chains(dataset, config, num_chains)
+        return real_run_chains(dataset, config)
 
     monkeypatch.setattr(sim_mod, "run_chains", run_chains)
     report = run_experiment(_tiny_experiment(replications=2))
