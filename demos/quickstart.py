@@ -3,10 +3,11 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, run_chains, simulate_dataset
+from msprobit import ChainConfig, Design, run_chains, simulate_dataset
 
 rng = np.random.default_rng(7)
-sim = simulate_dataset(2, 150, 4, (1, 2), 1, rng)
+design = Design(num_scales=2, obs_per_scale=150, num_features=4, num_thresholds=(1, 2))
+sim = simulate_dataset(design, rng)
 dataset = sim.dataset
 
 print(f"{dataset.num_obs} observations, {dataset.num_features} features")

@@ -4,12 +4,14 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, rmse, run_chains, simulate_dataset
+from msprobit import ChainConfig, Design, rmse, run_chains, simulate_dataset
 
 # min_per_class=8 keeps the threshold draw away from degenerate layouts
 # (a near-empty sliver class leaves the latent scale badly identified)
 rng = np.random.default_rng(21)
-sim = simulate_dataset(3, 80, 6, (1, 3, 3), 8, rng)
+design = Design(num_scales=3, obs_per_scale=80, num_features=6,
+                num_thresholds=(1, 3, 3), min_per_class=8)
+sim = simulate_dataset(design, rng)
 pooled = sim.dataset
 
 config = ChainConfig(burn_in=2000, thinning=2, stored_draws=500, seed=5)

@@ -4,10 +4,12 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, evaluate_splits, simulate_dataset
+from msprobit import ChainConfig, Design, evaluate_splits, simulate_dataset
 
 rng = np.random.default_rng(13)
-sim = simulate_dataset(2, 90, 4, (1, 2), 2, rng)
+design = Design(num_scales=2, obs_per_scale=90, num_features=4,
+                num_thresholds=(1, 2), min_per_class=2)
+sim = simulate_dataset(design, rng)
 dataset = sim.dataset
 
 config = ChainConfig(burn_in=1000, thinning=1, stored_draws=300, seed=2)

@@ -5,10 +5,11 @@
 import numpy as np
 from dataclasses import replace
 
-from msprobit import ChainConfig, run_chains, simulate_dataset, tune_proposal
+from msprobit import ChainConfig, Design, run_chains, simulate_dataset, tune_proposal
 
 rng = np.random.default_rng(3)
-sim = simulate_dataset(2, 120, 5, (2, 3), 1, rng)
+design = Design(num_scales=2, obs_per_scale=120, num_features=5, num_thresholds=(2, 3))
+sim = simulate_dataset(design, rng)
 dataset = sim.dataset
 
 # deliberately bad starting step sizes

@@ -4,10 +4,19 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, Prior, per_draw_rmse, run_chains, simulate_dataset
+from msprobit import (
+    ChainConfig,
+    Design,
+    Prior,
+    per_draw_rmse,
+    run_chains,
+    simulate_dataset,
+)
 
 rng = np.random.default_rng(8)
-sim = simulate_dataset(3, 40, 48, (1, 3, 3), 5, rng)
+design = Design(num_scales=3, obs_per_scale=40, num_features=48,
+                num_thresholds=(1, 3, 3), min_per_class=5)
+sim = simulate_dataset(design, rng)
 pooled = sim.dataset
 
 print(f"{pooled.num_features} features, {pooled.num_obs} pooled observations,")

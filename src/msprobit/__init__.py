@@ -40,6 +40,7 @@ from .sampler import (
     tune_proposal,
 )
 from .simulate import (
+    Design,
     ExperimentConfig,
     ExperimentReport,
     SimTruth,
@@ -57,6 +58,7 @@ __all__ = [
     "Dataset",
     "DatasetValidationError",
     "DegeneracyError",
+    "Design",
     "DrawSet",
     "EvaluationReport",
     "ExperimentConfig",

@@ -106,14 +106,9 @@ def cmd_simulate(args):
     if not (args.preset or args.config):
         raise ConfigError("simulate needs --preset or --config")
     doc = _config_doc(args, _design_part)
-    unknown = sorted(set(doc) - set(io.DESIGN_KEYS) - {"seed"})
-    if unknown:
-        raise ConfigError(f"unknown simulate config key(s): {', '.join(unknown)}")
+    seed = io.config_number(doc.pop("seed", 0), "seed", integer=True, minimum=0)
     design = io.design_from_dict(doc, "simulate")
-    sim = simulate_dataset(  # DESIGN_KEYS are its leading arguments, in order
-        *(design[key] for key in io.DESIGN_KEYS),
-        np.random.default_rng(np.random.SeedSequence(design["seed"])),
-    )
+    sim = simulate_dataset(design, np.random.default_rng(np.random.SeedSequence(seed)))
 
     dataset = sim.dataset
     io.write_dataset(

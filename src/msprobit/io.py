@@ -11,7 +11,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DatasetValidationError
 from .model import ChainConfig, Dataset, Prior, ScaleSpec, validate_dataset
 from .sampler import DrawSet
-from .simulate import ExperimentConfig
+from .simulate import Design, ExperimentConfig
 
 
 def format_float(x) -> str:
@@ -259,121 +259,101 @@ def write_table(path: str, header: list[str], rows: Iterable[tuple]):
 # -- configs ---------------------------------------------------------------
 
 
-def chain_config_from_dict(doc: dict) -> ChainConfig:
-    """Build a chain configuration from a JSON document. Unknown keys are
-    rejected."""
-    allowed = {
-        "prior",
-        "proposal_sd",
-        "burn_in",
-        "thinning",
-        "stored_draws",
-        "seed",
-        "num_chains",
-    }
-    unknown = sorted(set(doc) - allowed)
+def _count(value, key: str) -> int:
+    return config_number(value, key, integer=True)
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    return value
+
+
+def _from_doc(cls, doc: dict, what: str, readers=None, **given):
+    """cls built from a config document whose keys name fields of cls that
+    given does not fill. readers maps a key to the function checking its
+    value, _count by default; a field the document leaves out keeps its
+    default. Raises ConfigError on an unknown key, a missing required key
+    or a bad value."""
+    settable = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(doc) - {f.name for f in settable})
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    prior_doc = doc.get("prior", {})
-    if not isinstance(prior_doc, dict):
-        raise ConfigError("prior must be an object")
-    bad = sorted(set(prior_doc) - {"mean", "precision"})
-    if bad:
-        raise ConfigError(f"unknown prior key(s): {', '.join(bad)}")
-    for key, value in prior_doc.items():
-        try:
-            arr = np.asarray(value)
-        except ValueError:  # ragged nesting
-            arr = np.asarray(None)
-        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-            raise ConfigError(
-                f"prior {key} must be a number or an array of numbers, "
-                f"got {json.dumps(value)}"
-            )
-    prior = Prior(
-        mean=prior_doc.get("mean", 0.0),
-        precision=prior_doc.get("precision", 1.0),
-    )
-    proposal_sd = doc.get("proposal_sd", 0.5)
-    if isinstance(proposal_sd, dict):
-        try:
-            proposal_sd = {
-                int(k): config_number(v, f"proposal_sd {k}")
-                for k, v in proposal_sd.items()
-            }
-        except ValueError:
-            raise ConfigError(
-                f"proposal_sd keys must be scale ids, got {sorted(proposal_sd)}"
-            ) from None
-    else:
-        proposal_sd = config_number(proposal_sd, "proposal_sd")
-    return ChainConfig(
-        prior=prior,
-        proposal_sd=proposal_sd,
-        burn_in=config_number(doc.get("burn_in", 50_000), "burn_in", integer=True),
-        thinning=config_number(doc.get("thinning", 100), "thinning", integer=True),
-        stored_draws=config_number(
-            doc.get("stored_draws", 500), "stored_draws", integer=True
-        ),
-        seed=config_number(doc.get("seed", 0), "seed", integer=True, minimum=0),
-        num_chains=config_number(doc.get("num_chains", 1), "num_chains", integer=True),
-    )
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    readers = readers or {}
+    values = {}
+    for f in settable:
+        if f.name in doc:
+            values[f.name] = readers.get(f.name, _count)(doc[f.name], f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{what} is missing key {f.name!r}")
+    return cls(**given, **values)
 
 
-DESIGN_KEYS = (
-    "num_scales",
-    "obs_per_scale",
-    "num_features",
-    "num_thresholds",
-    "min_per_class",
-)
-
-
-def design_from_dict(doc: dict, command: str) -> dict:
-    """The simulation design and seed of a simulate or experiment config,
-    every count checked to be an integer. num_thresholds is one count for
-    all scales or a per-scale list; min_per_class defaults to 1, seed to 0."""
-    missing = [k for k in DESIGN_KEYS if k not in doc and k != "min_per_class"]
-    if missing:
-        raise ConfigError(f"{command} config is missing key {missing[0]!r}")
-    design = {
-        key: config_number(doc.get(key, 1), key, integer=True)
-        for key in DESIGN_KEYS
-        if key != "num_thresholds"
-    }
-    design["seed"] = config_number(doc.get("seed", 0), "seed", integer=True, minimum=0)
-    thresholds = doc["num_thresholds"]
-    if isinstance(thresholds, (list, tuple)):
-        design["num_thresholds"] = tuple(
-            config_number(t, "num_thresholds", integer=True) for t in thresholds
+def _prior_value(value, key: str):
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(
+            f"prior {key} must be a number or an array of numbers, "
+            f"got {json.dumps(value)}"
         )
-    else:  # simulate_dataset gives every scale this count
-        design["num_thresholds"] = config_number(thresholds, "num_thresholds", integer=True)
-    return design
+    return value
+
+
+def _prior(value, key: str) -> Prior:
+    return _from_doc(Prior, _object(value, key), "prior",
+                     {"mean": _prior_value, "precision": _prior_value})
+
+
+def _proposal_sd(value, key: str):
+    if not isinstance(value, dict):
+        return config_number(value, key)
+    try:
+        return {int(k): config_number(v, f"{key} {k}") for k, v in value.items()}
+    except ValueError:
+        raise ConfigError(f"{key} keys must be scale ids, got {sorted(value)}") from None
+
+
+def chain_config_from_dict(doc: dict) -> ChainConfig:
+    """Build a chain configuration from a JSON document, one key per field
+    of ChainConfig; unknown keys are rejected."""
+    return _from_doc(ChainConfig, doc, "config",
+                     {"prior": _prior, "proposal_sd": _proposal_sd})
+
+
+DESIGN_KEYS = tuple(f.name for f in fields(Design))
+
+
+def _thresholds(value, key: str):
+    # one count for every scale, or a per-scale list
+    if isinstance(value, (list, tuple)):
+        return tuple(_count(t, key) for t in value)
+    return _count(value, key)
+
+
+def design_from_dict(doc: dict, command: str) -> Design:
+    """The simulation design of a simulate or experiment config, one key per
+    field of Design, every count checked to be an integer."""
+    return _from_doc(Design, doc, f"{command} config", {"num_thresholds": _thresholds})
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an experiment configuration from a JSON document: the design
     keys, replications, seed, num_chains and a nested chain object. A
     top-level num_chains beats the chain object's; both are checked."""
-    allowed = set(DESIGN_KEYS) | {"replications", "num_chains", "seed", "chain"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
-    if "replications" not in doc:
-        raise ConfigError("experiment config is missing key 'replications'")
-    chain_doc = doc.get("chain", {})
-    if not isinstance(chain_doc, dict):
-        raise ConfigError("chain must be an object")
-    chain_config = chain_config_from_dict(chain_doc)
+    chain_config = chain_config_from_dict(_object(doc.get("chain", {}), "chain"))
     if "num_chains" in doc:  # beats the chain object's, checked the same way
-        top = config_number(doc["num_chains"], "num_chains", integer=True)
-        chain_config = replace(chain_config, num_chains=top)
-    return ExperimentConfig(
-        replications=config_number(doc["replications"], "replications", integer=True),
-        **design_from_dict(doc, "experiment"),
-        chain_config=chain_config,
-    )
+        chain_config = replace(
+            chain_config, num_chains=_count(doc["num_chains"], "num_chains")
+        )
+    design = {k: doc[k] for k in DESIGN_KEYS if k in doc}
+    own = {k: v for k, v in doc.items()
+           if k not in design and k not in ("chain", "num_chains")}
+    return _from_doc(ExperimentConfig, own, "experiment config",
+                     design=design_from_dict(design, "experiment"),
+                     chain_config=chain_config)
 
 
 def write_standardizer(path: str, mean: np.ndarray, scale: np.ndarray):

@@ -257,41 +257,24 @@ def _stratified_split(
     dataset: Dataset, split_fraction: float, rng: np.random.Generator
 ):
     """Random train/test split whose training side covers every
-    (scale, class) cell, retried up to 100 times."""
+    (scale, class) cell, retried up to 100 times. Every cell must hold a
+    row of the full dataset; evaluate_splits checks that once."""
     n = dataset.num_obs
     train_size = int(round(split_fraction * n))
     train_size = min(max(train_size, 1), n - 1)
-
-    # A cell empty in the full data can never be covered; name it up front.
-    for s in dataset.scales:
-        missing = missing_classes(
-            dataset.labels[dataset.rows_for_scale(s.scale_id)], s.num_classes
-        )
-        if missing:
-            raise StratificationError(
-                f"scale {s.scale_id} class(es) {missing} absent from the "
-                "dataset; no training split can cover them"
-            )
-
     for _ in range(100):
         perm = rng.permutation(n)
         train = np.sort(perm[:train_size])
-        ok = True
         for s in dataset.scales:
-            mask = dataset.scale_ids[train] == s.scale_id
-            covered = set(dataset.labels[train[mask]].tolist())
-            if len(covered) < s.num_classes:
-                starved = sorted(
-                    set(range(1, s.num_classes + 1)) - covered
-                )
-                last_starved = (s.scale_id, starved)
-                ok = False
+            labels = dataset.labels[train[dataset.scale_ids[train] == s.scale_id]]
+            starved = missing_classes(labels, s.num_classes)
+            if starved:
                 break
-        if ok:
+        else:
             return train, np.sort(perm[train_size:])
     raise StratificationError(
-        f"no training split covered scale {last_starved[0]} class(es) "
-        f"{last_starved[1]} in 100 attempts"
+        f"no training split covered scale {s.scale_id} class(es) "
+        f"{starved} in 100 attempts"
     )
 
 
@@ -315,6 +298,17 @@ def evaluate_splits(
         raise ConfigError(f"split_fraction must be in (0,1), got {split_fraction}")
     if int(num_splits) < 1:
         raise ConfigError(f"num_splits must be >= 1, got {num_splits}")
+
+    # a cell empty in the full data can never be covered; name it up front
+    for s in dataset.scales:
+        missing = missing_classes(
+            dataset.labels[dataset.rows_for_scale(s.scale_id)], s.num_classes
+        )
+        if missing:
+            raise StratificationError(
+                f"scale {s.scale_id} class(es) {missing} absent from the "
+                "dataset; no training split can cover them"
+            )
 
     long_rows: list[tuple] = []
     diff_rows: list[tuple] = []

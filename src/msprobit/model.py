@@ -177,7 +177,7 @@ class ChainConfig:
         for name in ("burn_in", "thinning", "stored_draws", "seed", "num_chains"):
             object.__setattr__(self, name, int(getattr(self, name)))
         for name, least in (("burn_in", 0), ("thinning", 1), ("stored_draws", 1),
-                            ("num_chains", 1)):
+                            ("seed", 0), ("num_chains", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -208,8 +208,9 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
     """Check every Dataset invariant, reporting all violations at once.
 
     Returns the dataset unchanged when clean. A feature column that is
-    exactly zero in every row is rejected unless allow_zero_columns is set,
-    in which case it is not checked for.
+    exactly zero in every row is rejected, named f1..fp as in a dataset
+    CSV, unless allow_zero_columns is set, in which case it is not checked
+    for.
     """
     violations: list[str] = []
     X, y, sid = raw.features, raw.labels, raw.scale_ids
@@ -255,10 +256,8 @@ def validate_dataset(raw: Dataset, allow_zero_columns: bool = False) -> Dataset:
     if n and not allow_zero_columns:
         zero_cols = np.flatnonzero(~X.any(axis=0))
         if zero_cols.size:
-            violations.append(
-                f"feature columns {zero_cols.tolist()} are constant zero "
-                "(pass allow_zero_columns to override)"
-            )
+            names = ", ".join(f"f{j + 1}" for j in zero_cols)
+            violations.append(f"feature columns {names} are constant zero")
 
     if violations:
         raise DatasetValidationError(violations)

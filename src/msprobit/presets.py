@@ -3,8 +3,10 @@
 "experiment1" and "experiment2" carry the reference settings for the two
 benchmark studies (experiment2 is the p > n regime with the weaker prior);
 "-desk" variants cut replication count and chain length so a full run
-finishes in minutes on one core. Proposal scales are standard deviations;
-the desk variants share the corresponding full-size values.
+finishes in minutes on one core. The full-size presets leave the chain
+length to ChainConfig's defaults, which are the reference settings.
+Proposal scales are standard deviations; the desk variants share the
+corresponding full-size values.
 
 ``simulate`` takes a document's design keys, ``fit`` and ``evaluate`` its
 ``chain`` object, and ``experiment`` the whole document.
@@ -23,7 +25,7 @@ _PROPOSAL_SD_EXP2 = {"1": math.sqrt(5.0), "2": math.sqrt(1.9), "3": math.sqrt(1.
 
 
 def _document(*, obs_per_scale, num_features, replications, precision,
-              proposal_sd, burn_in, thinning, stored_draws) -> dict:
+              proposal_sd, **chain_length) -> dict:
     return {
         "num_scales": 3,
         "obs_per_scale": obs_per_scale,
@@ -34,9 +36,7 @@ def _document(*, obs_per_scale, num_features, replications, precision,
         "chain": {
             "prior": {"mean": 0.0, "precision": precision},
             "proposal_sd": proposal_sd,
-            "burn_in": burn_in,
-            "thinning": thinning,
-            "stored_draws": stored_draws,
+            **chain_length,
         },
     }
 
@@ -44,7 +44,7 @@ def _document(*, obs_per_scale, num_features, replications, precision,
 _PRESETS = {
     "experiment1": _document(
         obs_per_scale=400, num_features=48, replications=500, precision=1.0,
-        proposal_sd=_PROPOSAL_SD_EXP1, burn_in=50_000, thinning=100, stored_draws=500,
+        proposal_sd=_PROPOSAL_SD_EXP1,
     ),
     "experiment1-desk": _document(
         obs_per_scale=120, num_features=8, replications=20, precision=1.0,
@@ -52,7 +52,7 @@ _PRESETS = {
     ),
     "experiment2": _document(
         obs_per_scale=40, num_features=48, replications=500, precision=0.1,
-        proposal_sd=_PROPOSAL_SD_EXP2, burn_in=50_000, thinning=100, stored_draws=500,
+        proposal_sd=_PROPOSAL_SD_EXP2,
     ),
     "experiment2-desk": _document(
         obs_per_scale=40, num_features=48, replications=20, precision=0.1,

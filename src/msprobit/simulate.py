@@ -43,62 +43,74 @@ def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(gamma, y_star, side="left")
 
 
-def _check_design(S: int, n: int, p: int, num_thresholds, k: int) -> tuple[int, ...]:
-    """Raise ConfigError unless simulate_dataset can draw this design;
-    returns num_thresholds, one count for every scale or one per scale, as
-    a tuple of ints. The size is checked before anything is allocated."""
-    if min(S, n, p) >= 1 and S * n * p > MAX_STORED_VALUES:
-        raise ConfigError(
-            f"{S} scales x {n} rows x {p} features exceed the "
-            f"{MAX_STORED_VALUES} feature values (16 GiB) one dataset may hold"
-        )
-    if isinstance(num_thresholds, int):
-        num_thresholds = (num_thresholds,) * S
-    num_thresholds = tuple(int(t) for t in num_thresholds)
-    if len(num_thresholds) != S:
-        raise ConfigError(
-            f"num_thresholds has {len(num_thresholds)} entries for S={S}"
-        )
-    if S < 1 or n < 1 or p < 1 or k < 1 or any(t < 1 for t in num_thresholds):
-        raise ConfigError(
-            f"invalid simulation shape: S={S}, n={n}, p={p}, "
-            f"num_thresholds={num_thresholds}, k={k}"
-        )
-    if any(n < k * (t + 1) for t in num_thresholds):
-        raise ConfigError(
-            f"n={n} cannot hold {k} instances of every class for "
-            f"num_thresholds={num_thresholds}"
-        )
-    return num_thresholds
+@dataclass(frozen=True)
+class Design:
+    """A simulation design: num_scales scales of obs_per_scale rows over
+    num_features shared features. num_thresholds is one count for every
+    scale or one count per scale, and every class of every scale gets at
+    least min_per_class rows.
+
+    Counts become ints and num_thresholds a tuple of S counts here; a design
+    simulate_dataset cannot draw raises ConfigError. The size is checked
+    before anything is allocated.
+    """
+
+    num_scales: int
+    obs_per_scale: int
+    num_features: int
+    num_thresholds: int | tuple[int, ...]
+    min_per_class: int = 1
+
+    def __post_init__(self):
+        for name in ("num_scales", "obs_per_scale", "num_features", "min_per_class"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        S, n, p = self.num_scales, self.obs_per_scale, self.num_features
+        k = self.min_per_class
+        if min(S, n, p) >= 1 and S * n * p > MAX_STORED_VALUES:
+            raise ConfigError(
+                f"{S} scales x {n} rows x {p} features exceed the "
+                f"{MAX_STORED_VALUES} feature values (16 GiB) one dataset may hold"
+            )
+        num_thresholds = self.num_thresholds
+        if isinstance(num_thresholds, int):
+            num_thresholds = (num_thresholds,) * S
+        num_thresholds = tuple(int(t) for t in num_thresholds)
+        object.__setattr__(self, "num_thresholds", num_thresholds)
+        if len(num_thresholds) != S:
+            raise ConfigError(
+                f"num_thresholds has {len(num_thresholds)} entries for S={S}"
+            )
+        if S < 1 or n < 1 or p < 1 or k < 1 or any(t < 1 for t in num_thresholds):
+            raise ConfigError(
+                f"invalid simulation shape: S={S}, n={n}, p={p}, "
+                f"num_thresholds={num_thresholds}, k={k}"
+            )
+        if any(n < k * (t + 1) for t in num_thresholds):
+            raise ConfigError(
+                f"n={n} cannot hold {k} instances of every class for "
+                f"num_thresholds={num_thresholds}"
+            )
 
 
-def simulate_dataset(
-    S: int,
-    n: int,
-    p: int,
-    num_thresholds,
-    k: int,
-    rng: np.random.Generator,
-) -> SimTruth:
+def simulate_dataset(design: Design, rng: np.random.Generator) -> SimTruth:
     """Generate multi-scale ordinal data from the model's own assumptions.
 
     Shared coefficients ~ N_p(0, I) drawn once. Per scale: an (n, p)
     standard-normal feature matrix, then repeatedly: thresholds as sorted
     iid Normal(0, variance 5) values, latents ~ N(x.beta, 1), labels by
-    interval lookup, until every class has at least k observations.
-    num_thresholds is one count for every scale or a sequence of S counts.
+    interval lookup, until every class has at least min_per_class
+    observations.
     """
-    num_thresholds = _check_design(S, n, p, num_thresholds, k)
-
-    beta = rng.standard_normal(p)
+    n, k = design.obs_per_scale, design.min_per_class
+    beta = rng.standard_normal(design.num_features)
     gammas, y_stars, features, labels, scales = [], [], [], [], []
-    for s_index in range(S):
-        num_classes = num_thresholds[s_index] + 1
-        X = rng.standard_normal((n, p))
+    for s_index, num_thresholds in enumerate(design.num_thresholds):
+        num_classes = num_thresholds + 1
+        X = rng.standard_normal((n, design.num_features))
         eta = X @ beta
         for attempt in range(_MAX_REDRAWS):
             gamma = np.sort(
-                rng.normal(0.0, math.sqrt(_THRESHOLD_VARIANCE), num_thresholds[s_index])
+                rng.normal(0.0, math.sqrt(_THRESHOLD_VARIANCE), num_thresholds)
             )
             if gamma.size > 1 and not np.all(np.diff(gamma) > 0):
                 continue
@@ -158,38 +170,31 @@ class ExperimentConfig:
 
     chain_config.seed is ignored; every fit gets its own seed derived from
     `seed` and the replication index, so replications are independent and
-    the whole experiment is reproducible from one number. Design and chain
-    errors raise ConfigError here, before any replication runs.
+    the whole experiment is reproducible from one number. The design is
+    checked when it is built and the chain config here, before any
+    replication runs; errors raise ConfigError.
     """
 
+    design: Design
     replications: int
-    num_scales: int
-    obs_per_scale: int
-    num_features: int
-    num_thresholds: int | tuple[int, ...]
-    min_per_class: int = 1
     chain_config: ChainConfig = field(default_factory=ChainConfig)
     seed: int = 0
 
     def __post_init__(self):
         # counts and the seed become ints here, so no reader converts them
-        for name in ("replications", "num_scales", "obs_per_scale", "num_features",
-                     "min_per_class", "seed"):
+        for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        S, p = self.num_scales, self.num_features
-        num_thresholds = _check_design(
-            S, self.obs_per_scale, p, self.num_thresholds, self.min_per_class
-        )
-        object.__setattr__(self, "num_thresholds", num_thresholds)
-        chain = self.chain_config
-        for scale_id in range(1, S + 1):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        p, chain = self.design.num_features, self.chain_config
+        for scale_id in range(1, self.design.num_scales + 1):
             chain.proposal_sd_for(scale_id)
         chain.prior.mean_vector(p)
         chain.prior.precision_matrix(p)
         # the multi-scale fit stores the most: p coefficients, every threshold
-        check_draw_store(chain.num_chains, chain.stored_draws, p + sum(num_thresholds))
+        check_draw_store(
+            chain.num_chains, chain.stored_draws, p + sum(self.design.num_thresholds)
+        )
 
 
 @dataclass(frozen=True)
@@ -241,14 +246,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
     failures: list[ReplicationFailure] = []
 
     for r in range(1, config.replications + 1):
-        children = np.random.SeedSequence([config.seed, r]).spawn(2 + config.num_scales)
+        children = np.random.SeedSequence([config.seed, r]).spawn(
+            2 + config.design.num_scales
+        )
         stage = "simulate"
         try:
-            sim = simulate_dataset(
-                config.num_scales, config.obs_per_scale, config.num_features,
-                config.num_thresholds, config.min_per_class,
-                np.random.default_rng(children[0]),
-            )
+            sim = simulate_dataset(config.design, np.random.default_rng(children[0]))
             fits: dict[str, DrawSet] = {}
             for (name, data), child in zip(sim.dataset.model_grid(), children[1:]):
                 stage = f"fit-{name}"
@@ -277,54 +280,34 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
 
 def _score_replication(r: int, sim: SimTruth, fits: dict[str, DrawSet]):
     """RMSE rows for one replication; see ExperimentReport for layouts."""
-    summary, ratios, draws = [], [], []
-    mean_beta: dict[str, float] = {}
-    mean_gamma: dict[tuple[str, int], float] = {}
     scales = sim.dataset.scales
     gammas_true = {s.scale_id: g for s, g in zip(scales, sim.gammas_true)}
-
+    # the mean over draws of every (model, scale_id, metric) cell, in summary
+    # row order; gamma_rmse stays NaN on a scale the model does not fit
+    means: dict[tuple[str, int, str], float] = {}
+    draws = []
     for model, drawset in fits.items():
         beta_rmse = per_draw_rmse(drawset.beta_draws, sim.beta_true)
-        mean_beta[model] = float(beta_rmse.mean())
+        beta_mean = float(beta_rmse.mean())
+        for s in scales:
+            means[model, s.scale_id, "beta_rmse"] = beta_mean
+            means[model, s.scale_id, "gamma_rmse"] = float("nan")
         for s in drawset.scales:
             gamma_rmse = per_draw_rmse(
                 drawset.gamma_draws_for(s.scale_id), gammas_true[s.scale_id]
             )
-            mean_gamma[(model, s.scale_id)] = float(gamma_rmse.mean())
-            draws.extend(
-                (r, model, s.scale_id, "gamma_rmse", d, float(v))
-                for d, v in enumerate(gamma_rmse)
-            )
-            draws.extend(
-                (r, model, s.scale_id, "beta_rmse", d, float(v))
-                for d, v in enumerate(beta_rmse)
-            )
-
-    for model in fits:
-        for s in scales:
-            summary.append((r, model, s.scale_id, "beta_rmse", mean_beta[model]))
-            summary.append(
-                (
-                    r,
-                    model,
-                    s.scale_id,
-                    "gamma_rmse",
-                    mean_gamma.get((model, s.scale_id), float("nan")),
+            means[model, s.scale_id, "gamma_rmse"] = float(gamma_rmse.mean())
+            for metric, values in (("gamma_rmse", gamma_rmse), ("beta_rmse", beta_rmse)):
+                draws.extend(
+                    (r, model, s.scale_id, metric, d, v)
+                    for d, v in enumerate(values.tolist())
                 )
-            )
 
+    summary = [(r, *cell, value) for cell, value in means.items()]
+    ratios = []
     for s in scales:
-        single = f"single-{s.scale_id}"
-        for metric, lookup in (
-            ("beta_rmse", mean_beta.get(single)),
-            ("gamma_rmse", mean_gamma.get((single, s.scale_id))),
-        ):
-            multi_val = (
-                mean_beta["multi"]
-                if metric == "beta_rmse"
-                else mean_gamma[("multi", s.scale_id)]
-            )
-            ratios.append(
-                (r, s.scale_id, metric, lookup, multi_val, multi_val / lookup)
-            )
+        for metric in ("beta_rmse", "gamma_rmse"):
+            single = means[f"single-{s.scale_id}", s.scale_id, metric]
+            multi = means["multi", s.scale_id, metric]
+            ratios.append((r, s.scale_id, metric, single, multi, multi / single))
     return summary, ratios, draws

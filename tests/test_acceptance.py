@@ -27,7 +27,12 @@ from msprobit.metrics import (
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import preset
 from msprobit.sampler import _GibbsKernel, mcse_mean, run_chains, tune_proposal
-from msprobit.simulate import labels_from_latent, run_experiment, simulate_dataset
+from msprobit.simulate import (
+    Design,
+    labels_from_latent,
+    run_experiment,
+    simulate_dataset,
+)
 from tests.reference_binary_probit import reference_binary_fit
 from tests.test_metrics import oracle_f1, oracle_tau_b
 
@@ -246,18 +251,12 @@ def test_criterion_05_shared_fit_beats_separate_fits_wide_p():
 
 def test_criterion_06_tuned_acceptance_rates():
     with _Timer() as t:
-        doc = preset("experiment1-desk")
-        spec = io.design_from_dict(doc, "simulate")
+        config = io.experiment_config_from_dict(preset("experiment1-desk"))
         sim = simulate_dataset(
-            spec["num_scales"],
-            spec["obs_per_scale"],
-            spec["num_features"],
-            spec["num_thresholds"],
-            spec["min_per_class"],
-            np.random.default_rng(np.random.SeedSequence([20260822, 6])),
+            config.design, np.random.default_rng(np.random.SeedSequence([20260822, 6]))
         )
         ds = sim.dataset
-        base = io.chain_config_from_dict(doc["chain"])
+        base = config.chain_config
         tuned = tune_proposal(ds, replace(base, seed=60), target_rate=0.234)
         check = replace(
             base,
@@ -471,7 +470,7 @@ def test_criterion_09_cli_byte_determinism(tmp_path):
 def test_criterion_10_split_protocol_shape(tmp_path):
     with _Timer() as t:
         sim = simulate_dataset(
-            3, 45, 4, (1, 2, 3), 1,
+            Design(3, 45, 4, (1, 2, 3), 1),
             np.random.default_rng(np.random.SeedSequence([20260822, 10])),
         )
         ds = sim.dataset

@@ -433,6 +433,26 @@ def test_cli_fit_rejects_malformed_scale_sidecar(sim_dir, tmp_path, capsys, text
     )
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
+def test_cli_names_a_constant_zero_column_as_its_header_does(
+    sim_dir, draws_path, tmp_path, capsys, command
+):
+    # f3, the last column, set to zero on every row
+    lines = (sim_dir / "dataset.csv").read_text().splitlines()
+    data = tmp_path / "zero.csv"
+    data.write_text("\n".join(
+        [lines[0]] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
+    ) + "\n")
+    argv = {"fit": ["fit", str(data)], "evaluate": ["evaluate", str(data)],
+            "predict": ["predict", draws_path, str(data), "--scale", "1"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--scales", str(sim_dir / "dataset.scales.json"),
+                        "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "feature columns f3 are constant zero" in err, err
+    assert "allow_zero_columns" not in err, err
+
+
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_cli_rejects_dataset_without_scales(tmp_path, capsys, command):
     (tmp_path / "empty.csv").write_text("scale_id,label,f1\n")

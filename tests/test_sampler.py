@@ -24,7 +24,7 @@ from msprobit.sampler import (
     run_chains,
     tune_proposal,
 )
-from msprobit.simulate import simulate_dataset
+from msprobit.simulate import Design, simulate_dataset
 from tests.conftest import make_two_scale_dataset
 
 
@@ -423,7 +423,7 @@ def test_mcse_mean_scaling(rng):
 
 
 def test_tune_proposal_reaches_band(two_scale_dataset):
-    cfg = ChainConfig(proposal_sd=4.0, seed=21)
+    cfg = ChainConfig(proposal_sd=4.0, burn_in=0, seed=21)
     tuned = tune_proposal(two_scale_dataset, cfg, target_rate=0.3)
     assert set(tuned) == {1, 2}
     assert all(sd > 0 for sd in tuned.values())
@@ -440,7 +440,7 @@ def test_tune_proposal_settles_at_p_above_n(seed):
     # the experiment2 design, 3 x 40 rows of 48 features: without a burn-in
     # before the first window, the start's transient rate closed a bracket
     # that later windows contradicted, and tuning never settled
-    sim = simulate_dataset(3, 40, 48, (1, 3, 3), 1, np.random.default_rng(seed))
+    sim = simulate_dataset(Design(3, 40, 48, (1, 3, 3), 1), np.random.default_rng(seed))
     config = io.chain_config_from_dict(preset("experiment2-desk")["chain"])
     tuned = tune_proposal(sim.dataset, config, target_rate=0.234)
     assert set(tuned) == {1, 2, 3}

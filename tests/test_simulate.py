@@ -7,6 +7,7 @@ import msprobit.simulate as sim_mod
 from msprobit.errors import ConfigError, SamplerPanicError, SimulationError
 from msprobit.model import ChainConfig
 from msprobit.simulate import (
+    Design,
     ExperimentConfig,
     labels_from_latent,
     per_draw_rmse,
@@ -17,7 +18,7 @@ from msprobit.simulate import (
 
 
 def test_simulated_shapes_and_invariants(rng):
-    sim = simulate_dataset(3, 50, 4, (1, 3, 3), 2, rng)
+    sim = simulate_dataset(Design(3, 50, 4, (1, 3, 3), 2), rng)
     assert sim.beta_true.shape == (4,)
     assert len(sim.gammas_true) == 3
     assert [g.size for g in sim.gammas_true] == [1, 3, 3]
@@ -58,30 +59,30 @@ def test_binary_threshold_symmetry(rng):
 
 
 def test_simulate_deterministic():
-    a = simulate_dataset(2, 30, 3, (1, 2), 1, np.random.default_rng(8))
-    b = simulate_dataset(2, 30, 3, (1, 2), 1, np.random.default_rng(8))
+    a = simulate_dataset(Design(2, 30, 3, (1, 2), 1), np.random.default_rng(8))
+    b = simulate_dataset(Design(2, 30, 3, (1, 2), 1), np.random.default_rng(8))
     np.testing.assert_array_equal(a.beta_true, b.beta_true)
     np.testing.assert_array_equal(a.dataset.features, b.dataset.features)
     np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
 
 
-def test_simulate_validates_parameters(rng):
+def test_simulate_validates_parameters():
     with pytest.raises(ConfigError):
-        simulate_dataset(0, 10, 2, (), 1, rng)
+        Design(0, 10, 2, (), 1)
     with pytest.raises(ConfigError):
-        simulate_dataset(1, 10, 0, (1,), 1, rng)
+        Design(1, 10, 0, (1,), 1)
     with pytest.raises(ConfigError):
-        simulate_dataset(2, 10, 2, (1,), 1, rng)  # thresholds per scale
+        Design(2, 10, 2, (1,), 1)  # thresholds per scale
     with pytest.raises(ConfigError):
         # n too small to ever hold k of each class
-        simulate_dataset(1, 5, 2, (2,), 2, rng)
+        Design(1, 5, 2, (2,), 2)
 
 
 def test_simulate_redraw_cap(monkeypatch, rng):
     monkeypatch.setattr(sim_mod, "_MAX_REDRAWS", 2)
     with pytest.raises(SimulationError, match="increase n or reduce"):
         # demanding balance on a tiny sample exhausts 2 redraws immediately
-        simulate_dataset(1, 6, 2, (2,), 2, np.random.default_rng(123))
+        simulate_dataset(Design(1, 6, 2, (2,), 2), np.random.default_rng(123))
 
 
 def test_rmse_reference_values():
@@ -103,12 +104,8 @@ def test_per_draw_rmse_matrix():
 
 def _tiny_experiment(replications=1, seed=0):
     return ExperimentConfig(
-        replications=replications,
-        num_scales=2,
-        obs_per_scale=60,
-        num_features=3,
-        num_thresholds=(1, 2),
-        min_per_class=2,
+        Design(2, 60, 3, (1, 2), 2),
+        replications,
         chain_config=ChainConfig(burn_in=60, thinning=1, stored_draws=40, seed=0),
         seed=seed,
     )
@@ -192,12 +189,8 @@ def test_experiment_deterministic():
 def test_experiment_failure_census(monkeypatch):
     monkeypatch.setattr(sim_mod, "_MAX_REDRAWS", 1)
     config = ExperimentConfig(
-        replications=3,
-        num_scales=1,
-        obs_per_scale=6,
-        num_features=2,
-        num_thresholds=(2,),
-        min_per_class=2,
+        Design(1, 6, 2, (2,), 2),
+        3,
         chain_config=ChainConfig(burn_in=5, thinning=1, stored_draws=5, seed=0),
         seed=1,
     )
