@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from msprobit import ChainConfig, Design, rmse, run_chains, simulate_dataset
+from msprobit import ChainConfig, Design, rmse, run_fits, simulate_dataset
 
 # min_per_class=8 keeps the threshold draw away from degenerate layouts
 # (a near-empty sliver class leaves the latent scale badly identified)
@@ -16,14 +16,14 @@ pooled = sim.dataset
 
 config = ChainConfig(burn_in=2000, thinning=2, stored_draws=500, seed=5)
 
-multi = run_chains(pooled, config)
+# the pooled fit and one fit per scale, stepped together in one batch
+multi, *singles = run_fits([(data, config) for _, data in pooled.model_grid()])
 multi_rmse = rmse(multi.beta_draws.mean(axis=0), sim.beta_true)
 
 print("coefficient RMSE of the posterior mean against the truth")
 print(f"  pooled fit ({pooled.num_obs} obs):      {multi_rmse:.4f}")
 
-for s in pooled.scales:
-    single = run_chains(pooled.restrict_to_scale(s.scale_id), config)
+for s, single in zip(pooled.scales, singles):
     err = rmse(single.beta_draws.mean(axis=0), sim.beta_true)
     n = pooled.rows_for_scale(s.scale_id).size
     print(f"  scale {s.scale_id} alone ({n} obs):       {err:.4f}")

@@ -37,6 +37,7 @@ from .sampler import (
     DrawSet,
     mcse_mean,
     run_chains,
+    run_fits,
     tune_proposal,
 )
 from .simulate import (
@@ -84,6 +85,7 @@ __all__ = [
     "rmse",
     "run_chains",
     "run_experiment",
+    "run_fits",
     "sample_truncated_normal_many",
     "simulate_dataset",
     "std_normal_quantile",

@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, StratificationError
 from .model import ChainConfig, Dataset, ScaleSpec, missing_classes
-from .sampler import DrawSet, run_chains
+from .sampler import DrawSet, run_fits
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
 
@@ -322,10 +322,15 @@ def evaluate_splits(
             train = replace(train, features=(train.features - mean) / sd)
             test = replace(test, features=(test.features - mean) / sd)
 
-        multi, *singles = [
-            run_chains(data, replace(chain_config, seed=int(rng.integers(2**63))))
+        # every fit of the grid runs in one batch
+        fits = [
+            (data, replace(chain_config, seed=int(rng.integers(2**63))))
             for _, data in train.model_grid()
         ]
+        multi, *singles = results = run_fits(fits)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
 
         for s, single in zip(dataset.scales, singles):
             headline: dict[tuple[str, str], dict[str, np.ndarray]] = {}

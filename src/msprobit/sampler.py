@@ -1,26 +1,33 @@
 """Three-block Gibbs sampler for multi-scale ordinal probit.
 
-The sampler state is the coefficient vector beta (p,) and one flat vector
-of thresholds (T,): every scale's thresholds, scale by scale in scale
-order, the column order of a draws file. Each sweep updates, in order: the
-thresholds (one blocked random-walk Metropolis-Hastings move per scale
-with sequential truncated-normal proposals), the augmented latents (exact
-truncated-normal conditionals), and the shared coefficients (conjugate
-Gaussian). The threshold move integrates the latents out, so its
-acceptance ratio depends only on the observed labels; the latent block
-immediately afterwards redraws every latent under the accepted
-thresholds. Both blocks read a row's class interval from one flat array
-of the class edges of all scales, and the proposal is drawn into the same
-array position by position: threshold c of every scale in one vector
+The sampler state of a chain is the coefficient vector beta (p,) and one
+flat vector of thresholds (T,): every scale's thresholds, scale by scale
+in scale order, the column order of a draws file. Each sweep updates, in
+order: the thresholds (one blocked random-walk Metropolis-Hastings move
+per scale with sequential truncated-normal proposals), the augmented
+latents (exact truncated-normal conditionals), and the shared
+coefficients (conjugate Gaussian). The threshold move integrates the
+latents out, so its acceptance ratio depends only on the observed labels;
+the latent block immediately afterwards redraws every latent under the
+accepted thresholds. Both blocks read a row's class interval from one flat
+array of the class edges of all scales, and the proposal is drawn into the
+same array position by position: threshold c of every scale in one vector
 call, for c = 1, 2, .... The coefficient draw multiplies by the inverse
 Cholesky factor of the posterior precision, computed once per dataset.
 Every truncated-normal draw goes through ``sample_truncated_normal_many``.
+
+One kernel steps a batch of chains, of one fit or of several, in
+lockstep: the flat layout holds the scales of every chain end to end, so
+each vector call above serves the whole batch, while each chain keeps its
+own generator and draws the values it would draw alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -100,32 +107,20 @@ class DrawSet:
         raise KeyError(f"no scale with id {scale_id}")
 
 
-class _GibbsKernel:
-    """The Gibbs sampler for one dataset: run_chains, the tuner and the
-    acceptance gate all step it. It trusts its dataset: run_chains and the
-    tuner check that with initial_state before they build one.
-
-    The state is beta (p,) plus thresholds (T,), every scale's thresholds
-    in one flat vector, scale by scale. A sweep is three blocks, each a
-    method: the thresholds of every scale, the latents, the coefficients.
-    The posterior precision of the coefficients never changes across
-    sweeps, so the inverse of its Cholesky factor is computed once and a
-    draw is two small products. The class edges of all scales live in one
-    flat array, (-inf, thresholds, +inf) per scale, followed by the same
-    layout for a proposal, and each row holds the index of its lower and
-    upper edge in it. The threshold proposal is drawn position by position
-    into the proposal half, threshold c of every scale in one call. The
-    latent draw reads a row's interval from the array, and the threshold
-    move reads both the current and the proposed intervals of all rows,
-    and every threshold's neighbours, from it too.
+class _Fit:
+    """What every chain of one fit shares: the dataset, the proposal sd of
+    each scale, and the coefficient draw's constants. The posterior
+    precision of the coefficients never changes across sweeps, so the
+    inverse of its Cholesky factor is computed once and a draw is two small
+    products. It trusts its dataset: run_fits and the tuner check that
+    with initial_state first.
     """
 
     def __init__(self, dataset: Dataset, config: ChainConfig):
         self.dataset = dataset
-        self.config = config
         X = dataset.features
         p = dataset.num_features
-        self.prior_mean = config.prior.mean_vector(p)
+        prior_mean = config.prior.mean_vector(p)
         prior_prec = config.prior.precision_matrix(p)
         try:
             chol = np.linalg.cholesky(prior_prec + X.T @ X)
@@ -136,41 +131,104 @@ class _GibbsKernel:
             ) from exc
         # the posterior covariance is chol_inv.T @ chol_inv
         self.chol_inv = solve_triangular(chol, np.eye(p), lower=True)
-        self.lam_mu = prior_prec @ self.prior_mean
-        self.scale_rows = [
-            dataset.rows_for_scale(s.scale_id) for s in dataset.scales
-        ]
-        num_thresholds = [s.num_thresholds for s in dataset.scales]
-        # the scale index of every threshold of the flat state
-        self._threshold_scale = np.repeat(np.arange(len(dataset.scales)), num_thresholds)
-        # True between neighbouring thresholds of different scales
+        self.lam_mu = prior_prec @ prior_mean
+        self.proposal_sds = [config.proposal_sd_for(s.scale_id) for s in dataset.scales]
+        self.scale_rows = [dataset.rows_for_scale(s.scale_id) for s in dataset.scales]
+
+
+def _slices(sizes: list[int]) -> list[slice]:
+    """Consecutive slices of the given sizes, from 0."""
+    return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _fail(failed, member: int, exc: Exception):
+    """Take member out of the rest of the sweep with its first error, or
+    raise the error when the caller keeps no record (failed is None)."""
+    if failed is None:
+        raise exc
+    failed.setdefault(member, exc)
+
+
+class _GibbsKernel:
+    """The Gibbs sampler for a batch of members, each one chain of one fit
+    (a _Fit per member; the chains of a fit share it). run_fits, the tuner
+    and the acceptance gate all step it, and one sweep steps every member.
+
+    The members may differ in rows, features, scales and thresholds. A
+    member's state is its beta plus its thresholds, every scale's
+    thresholds in one flat vector, scale by scale; the batch state is the
+    list of betas plus the members' threshold vectors end to end. Every
+    member-scale (one scale of one member) has its slots in one flat array
+    of class edges, (-inf, thresholds, +inf), followed by the same layout
+    for a proposal, and each row of every member holds the index of its
+    lower and upper edge in it. A sweep is three blocks, each a method:
+    the thresholds, the latents, the coefficients. The threshold proposal
+    is drawn position by position into the proposal half, threshold c of
+    every member-scale in one call; the threshold move's ratios and the
+    latent draw are one call each for the whole batch. Each member draws
+    from its own generator, the values its lone chain would draw in the
+    same order, and keeps its own products with its features and inverse
+    factor, so its draws do not depend on the batch it runs in.
+
+    A block that finds a member's error records it in `failed`, a dict of
+    member index to error, and steps that member no further in the sweep;
+    without the dict the error is raised.
+    """
+
+    def __init__(self, fits: list[_Fit]):
+        self.fits = fits
+        scales = [s for f in fits for s in f.dataset.scales]
+        num_thresholds = [s.num_thresholds for s in scales]
+        self._scales = scales
+        # the member of every member-scale, and the member-scale of every
+        # threshold of the flat state
+        self._scale_member = [j for j, f in enumerate(fits) for _ in f.dataset.scales]
+        self._threshold_scale = np.repeat(np.arange(len(scales)), num_thresholds)
+        # True between neighbouring thresholds of different member-scales
         self._scale_breaks = np.diff(self._threshold_scale) != 0
-        offsets = np.cumsum([0] + [s.num_classes + 1 for s in dataset.scales])
+        # each member's slice of the rows, the flat thresholds and the
+        # member-scales
+        self._row_counts = [f.dataset.num_obs for f in fits]
+        self.row_slices = _slices(self._row_counts)
+        self.threshold_slices = _slices(
+            [sum(s.num_thresholds for s in f.dataset.scales) for f in fits]
+        )
+        self.scale_slices = _slices([len(f.dataset.scales) for f in fits])
+
+        offsets = np.cumsum([0] + [s.num_classes + 1 for s in scales])
         width = offsets[-1]
         # the current edges fill [0, width), a proposal's [width, 2 * width)
         starts = offsets[:-1]
         self._edges = np.full(2 * width, np.inf)
         self._edges[np.concatenate((starts, starts + width))] = _NEG_INF
         self._threshold_pos = np.concatenate(
-            [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, dataset.scales)]
+            [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, scales)]
         )
-        # Proposal step c draws threshold c of every scale that has one,
-        # around its current edge, inside (proposed c-1, current c+1).
+        # Proposal step c draws threshold c of every member-scale that has
+        # one, around its current edge, inside (proposed c-1, current c+1),
+        # one block of the call per member.
         self._proposal_steps = []
         for c in range(1, max(num_thresholds) + 1):
-            scales = np.flatnonzero(np.array(num_thresholds) >= c)
-            current = starts[scales] + c
+            taking = [k for k, t in enumerate(num_thresholds) if t >= c]
+            blocks = Counter(self._scale_member[k] for k in taking)
+            current = starts[taking] + c
             self._proposal_steps.append(
-                (current, current + width - 1, current + 1, current + width, scales)
+                (current, current + width - 1, current + 1, current + width,
+                 np.array(taking), list(blocks), list(blocks.values()))
             )
-        self._lower_pos = np.empty(dataset.num_obs, dtype=np.intp)
-        for o, rows in zip(offsets, self.scale_rows):
-            self._lower_pos[rows] = o + dataset.labels[rows] - 1
-        self._upper_pos = self._lower_pos + 1
 
-        # The threshold move takes the rows grouped by scale, so that each
-        # scale's rows, like its thresholds, are one contiguous slice.
-        order = np.concatenate(self.scale_rows)
+        # rows of all members end to end; the threshold move takes them
+        # grouped by member-scale, so that each member-scale's rows, like
+        # its thresholds, are one contiguous slice
+        self._lower_pos = np.empty(self.row_slices[-1].stop, dtype=np.intp)
+        order = []
+        scale_offsets = iter(offsets)
+        for f, member_rows in zip(fits, self.row_slices):
+            for rows, o in zip(f.scale_rows, scale_offsets):
+                self._lower_pos[member_rows.start + rows] = o + f.dataset.labels[rows] - 1
+                order.append(member_rows.start + rows)
+        self._upper_pos = self._lower_pos + 1
+        order = np.concatenate(order)
         self._grouping = None if np.all(np.diff(order) > 0) else order
         both = np.array([[0], [width]])  # current, proposed
         self._label_lower = self._lower_pos[order] + both
@@ -181,54 +239,78 @@ class _GibbsKernel:
         # would be drawn back inside (current t-1, proposed t+1)
         self._below = tpos - 1 + both[::-1]
         self._above = tpos + 1 + both
-        self._row_starts = np.cumsum([0] + [rows.size for rows in self.scale_rows[:-1]])
-        self._threshold_starts = np.cumsum([0] + num_thresholds[:-1])
+        # where each member-scale's rows and thresholds start, and end
+        self._row_bounds = np.cumsum([0] + [rows.size for f in fits for rows in f.scale_rows])
+        self._threshold_bounds = np.cumsum([0] + num_thresholds)
 
-    def _per_scale(self, thresholds) -> list:
-        """The flat thresholds as one list per scale, for messages."""
-        return [g.tolist() for g in np.split(thresholds, self._threshold_starts[1:])]
+    def _per_scale(self, thresholds, k) -> list:
+        """The flat thresholds of member-scale k as a list, for messages."""
+        return thresholds[self._threshold_bounds[k] : self._threshold_bounds[k + 1]].tolist()
 
-    def sweep(self, beta, thresholds, proposal_sds, rng):
-        """One full sweep; returns (beta, thresholds, accepts)."""
-        eta = self.dataset.features @ beta
-        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rng)
-        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rng)
-        beta = self.draw_coefficients(y_star, rng)
-        self._check_state(beta, thresholds, y_star, lowers, uppers)
-        return beta, thresholds, accepts
+    @staticmethod
+    def _live(rngs, failed):
+        """rngs with None for every member taken out of the sweep."""
+        if not failed:
+            return rngs
+        return [None if j in failed else g for j, g in enumerate(rngs)]
 
-    def update_thresholds(self, eta, thresholds, proposal_sds, rng):
-        """One blocked MH move per scale given the linear predictor eta;
-        returns the new thresholds and the accept flags. The move
+    def sweep(self, betas, thresholds, proposal_sds, rngs, failed=None):
+        """One full sweep of every member; returns (betas, thresholds,
+        accepts), a failed member's beta None."""
+        eta = np.concatenate([f.dataset.features @ b for f, b in zip(self.fits, betas)])
+        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs, failed)
+        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs, failed)
+        betas = self.draw_coefficients(y_star, rngs, failed)
+        self._check_state(betas, thresholds, y_star, lowers, uppers, failed)
+        return betas, thresholds, accepts
+
+    def update_thresholds(self, eta, thresholds, proposal_sds, rngs, failed=None):
+        """One blocked MH move per member-scale given the linear predictor
+        eta; returns the new thresholds and the accept flags. The move
         integrates the latents out, so it sees only the labels.
 
         Threshold c is proposed from a normal around its current value
         truncated to (proposed c-1, current c+1), so the proposal is
         ordered by construction (Cowles 1996). One call draws threshold c
-        of every scale, for c = 1, 2, ..., which keeps each scale's
-        proposal sequential; then one call draws every accept uniform.
+        of every member-scale, for c = 1, 2, ..., which keeps each scale's
+        proposal sequential; then each member draws its accept uniforms.
         """
         edges = self._edges
         edges[self._threshold_pos] = thresholds
         variances = np.square(proposal_sds)
-        for current, below, above, slots, scales in self._proposal_steps:
-            edges[slots] = sample_truncated_normal_many(
-                edges[current], variances[scales], edges[below], edges[above], rng
+        for current, below, above, slots, taking, members, counts in self._proposal_steps:
+            live = self._live(rngs, failed)
+            edges[slots], errors = sample_truncated_normal_many(
+                edges[current], variances[taking], edges[below], edges[above],
+                [live[j] for j in members], counts,
             )
-        uniforms = rng.random(len(self.dataset.scales)).tolist()
+            for block, exc in errors.items():
+                _fail(failed, members[block], exc)
+        uniforms = []
+        for g, scales in zip(self._live(rngs, failed), self.scale_slices):
+            n = scales.stop - scales.start
+            uniforms.extend(g.random(n).tolist() if g is not None else [0.0] * n)
         proposed = edges[self._threshold_slots[1]]
         log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, proposal_sds)
         accepts = []
-        for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
+        for k, (log_ratio, u, j) in enumerate(
+            zip(log_ratios.tolist(), uniforms, self._scale_member)
+        ):
+            if failed and j in failed:
+                accepts.append(False)
+                continue
             if math.isnan(log_ratio) or log_ratio == math.inf:
-                eta_k = eta[self.scale_rows[k]]
-                raise SamplerPanicError(
+                rows = slice(self._row_bounds[k], self._row_bounds[k + 1])
+                eta_k = (eta if self._grouping is None else eta[self._grouping])[rows]
+                _fail(failed, j, SamplerPanicError(
                     "zero-probability or undefined state in threshold update: "
-                    f"scale={self.dataset.scales[k].scale_id} "
-                    f"current={self._per_scale(thresholds)[k]} "
-                    f"proposed={self._per_scale(proposed)[k]} log_ratio={log_ratio} "
+                    f"scale={self._scales[k].scale_id} "
+                    f"current={self._per_scale(thresholds, k)} "
+                    f"proposed={self._per_scale(proposed, k)} log_ratio={log_ratio} "
                     f"eta_range=({eta_k.min()}, {eta_k.max()})"
-                )
+                ))
+                accepts.append(False)
+                continue
             accepts.append(
                 log_ratio >= 0.0
                 or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
@@ -237,9 +319,9 @@ class _GibbsKernel:
         return np.where(taken, proposed, thresholds), accepts
 
     def log_acceptance_ratios(self, eta, thresholds, proposed, proposal_sds) -> np.ndarray:
-        """Log MH ratio of the blocked threshold move of every scale, given
-        the linear predictor eta of all rows and the current and proposed
-        flat thresholds.
+        """Log MH ratio of the blocked threshold move of every member-scale,
+        given the linear predictor eta of all rows and the current and
+        proposed flat thresholds.
 
         A ratio is the label-likelihood ratio times the correction for the
         sequential truncated-normal proposal: the normal kernels cancel,
@@ -266,48 +348,73 @@ class _GibbsKernel:
         log_norm = log_interval_mass(
             (edges[self._below] - centre) / sds, (above - centre) / sds
         )
-        ll = np.add.reduceat(loglik, self._row_starts, axis=1)
-        norm = np.add.reduceat(log_norm, self._threshold_starts, axis=1)
+        ll = np.add.reduceat(loglik, self._row_bounds[:-1], axis=1)
+        norm = np.add.reduceat(log_norm, self._threshold_bounds[:-1], axis=1)
         with np.errstate(invalid="ignore"):
             ratios = ll[1] - ll[0] + norm[0] - norm[1]
         irreversible = centre[0] >= above[1]
-        ratios[np.logical_or.reduceat(irreversible, self._threshold_starts)] = _NEG_INF
+        ratios[np.logical_or.reduceat(irreversible, self._threshold_bounds[:-1])] = _NEG_INF
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
-    def draw_latents(self, eta, thresholds, rng):
-        """Redraw every latent from its truncated-normal conditional;
-        returns the latents and their lower and upper bounds."""
+    def draw_latents(self, eta, thresholds, rngs, failed=None):
+        """Redraw every latent from its truncated-normal conditional, each
+        member's from its own generator; returns the latents and their
+        lower and upper bounds."""
         edges = self._edges
         edges[self._threshold_pos] = thresholds
         lowers = edges[self._lower_pos]
         uppers = edges[self._upper_pos]
-        y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rng)
+        y_star, errors = sample_truncated_normal_many(
+            eta, 1.0, lowers, uppers, self._live(rngs, failed), self._row_counts
+        )
+        for member, exc in errors.items():
+            _fail(failed, member, exc)
         return y_star, lowers, uppers
 
-    def draw_coefficients(self, y_star, rng) -> np.ndarray:
-        """Exact conjugate draw of the shared coefficients given the latents."""
-        b = self.lam_mu + self.dataset.features.T @ y_star
-        z = rng.standard_normal(b.size)
-        return self.chol_inv.T @ (self.chol_inv @ b + z)
+    def draw_coefficients(self, y_star, rngs, failed=None) -> list:
+        """Exact conjugate draw of every member's coefficients given the
+        latents; None for a member taken out of the sweep."""
+        betas = []
+        for j, (f, g, rows) in enumerate(zip(self.fits, rngs, self.row_slices)):
+            if failed and j in failed:
+                betas.append(None)
+                continue
+            b = f.lam_mu + f.dataset.features.T @ y_star[rows]
+            z = g.standard_normal(b.size)
+            betas.append(f.chol_inv.T @ (f.chol_inv @ b + z))
+        return betas
 
-    def _check_state(self, beta, thresholds, y_star, lowers, uppers):
-        ok = (
-            np.isfinite(beta).all()
-            and ((thresholds[1:] > thresholds[:-1]) | self._scale_breaks).all()
-            and ((y_star > lowers) & (y_star < uppers)).all()
-        )
-        if not ok:
-            raise SamplerPanicError(
-                f"post-sweep invariant violated: beta={np.asarray(beta).tolist()} "
-                f"gammas={self._per_scale(thresholds)} "
-                f"latent_range=({y_star.min()}, {y_star.max()})"
-            )
+    def _check_state(self, betas, thresholds, y_star, lowers, uppers, failed=None):
+        inside = (y_star > lowers) & (y_star < uppers)
+        ordered = (thresholds[1:] > thresholds[:-1]) | self._scale_breaks
+        if (
+            not failed
+            and inside.all()
+            and ordered.all()
+            and all(np.isfinite(beta).all() for beta in betas)
+        ):
+            return
+        for j, beta in enumerate(betas):
+            if beta is None:
+                continue
+            rows = self.row_slices[j]
+            scales = self.scale_slices[j]
+            if not (
+                np.isfinite(beta).all()
+                and ordered[self.threshold_slices[j]].all()
+                and inside[rows].all()
+            ):
+                gammas = [self._per_scale(thresholds, k) for k in range(scales.start, scales.stop)]
+                _fail(failed, j, SamplerPanicError(
+                    f"post-sweep invariant violated: beta={np.asarray(beta).tolist()} "
+                    f"gammas={gammas} "
+                    f"latent_range=({y_star[rows].min()}, {y_star[rows].max()})"
+                ))
 
     def proposal_sds(self) -> list[float]:
-        return [
-            self.config.proposal_sd_for(s.scale_id) for s in self.dataset.scales
-        ]
+        """The proposal sd of every member-scale."""
+        return [sd for f in self.fits for sd in f.proposal_sds]
 
 
 def initial_state(dataset: Dataset, config: ChainConfig):
@@ -341,56 +448,119 @@ def check_draw_store(num_chains: int, stored_draws: int, width: int):
         )
 
 
-def run_chains(dataset: Dataset, config: ChainConfig) -> DrawSet:
-    """Run config.num_chains independent chains of burn_in + thinning *
-    stored_draws sweeps, keeping every thinning-th post-burn-in state,
-    chain after chain.
+def _with_prefix(exc: Exception, prefix: str) -> Exception:
+    """exc of the same type with prefix before its message, caused by exc."""
+    prefixed = type(exc)(f"{prefix}{exc}")
+    prefixed.__cause__ = exc
+    return prefixed
 
-    Chain i consumes child i of SeedSequence(seed), so the result is
-    deterministic given config.seed, and the first K chains of a run do not
-    depend on how many chains follow them. All chains step one kernel.
+
+def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
+    """Run every chain of every (dataset, config) fit in lockstep, one
+    sweep of one kernel for all of them at a time, and return, in order,
+    each fit's DrawSet or the error it failed with.
+
+    The fits share one schedule: burn_in + thinning * stored_draws sweeps
+    per chain, keeping every thinning-th post-burn-in state. Chain i of a
+    fit draws from child i of SeedSequence(config.seed), exactly the values
+    it would draw alone, so a fit's draws do not depend on the fits or
+    chains it runs beside. A chain that fails is taken out and the others
+    go on; a failed fit's entry is the error of its lowest failed chain,
+    "chain i: sweep m: " before the message of a sampler error, or the
+    error its set-up raised.
     """
-    num_chains = config.num_chains
-    beta0, thresholds0 = initial_state(dataset, config)
-    check_draw_store(num_chains, config.stored_draws, beta0.size + thresholds0.size)
-    kernel = _GibbsKernel(dataset, config)
+    schedules = {(c.burn_in, c.thinning, c.stored_draws) for _, c in fits}
+    if len(schedules) != 1:
+        raise ValueError(f"fits of one batch must share one schedule, got {sorted(schedules)}")
+    ((burn_in, thinning, stored),) = schedules
+
+    errors = [{} for _ in fits]  # per fit: chain index -> error
+    store = [None] * len(fits)  # per fit: beta and threshold draws
+    members, member_fits, betas, thresholds, rngs = [], [], [], [], []
+    for k, (dataset, config) in enumerate(fits):
+        try:
+            beta0, thresholds0 = initial_state(dataset, config)
+            check_draw_store(config.num_chains, stored, beta0.size + thresholds0.size)
+            fit = _Fit(dataset, config)
+        except MsprobitError as exc:
+            errors[k][0] = exc
+            continue
+        size = config.num_chains * stored
+        store[k] = (np.empty((size, beta0.size)), np.empty((size, thresholds0.size)))
+        for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.num_chains)):
+            members.append((k, i))
+            member_fits.append(fit)
+            betas.append(beta0)
+            thresholds.append(thresholds0)
+            rngs.append(np.random.default_rng(child))
+
+    if not members:  # every fit failed in its set-up
+        return [e[0] for e in errors]
+    kernel = _GibbsKernel(member_fits)
+    thresholds = np.concatenate(thresholds)
     sds = kernel.proposal_sds()
+    accepted = np.zeros(len(sds), dtype=int)  # per member-scale
+    for m in range(1, burn_in + thinning * stored + 1):
+        failed = {}
+        betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs, failed)
+        accepted += accepts
+        if failed:
+            for j, exc in failed.items():
+                k, i = members[j]
+                if isinstance(exc, MsprobitError):
+                    exc = _with_prefix(exc, f"chain {i}: sweep {m}: ")
+                errors[k][i] = exc
+            keep = [j for j in range(len(members)) if j not in failed]
+            members = [members[j] for j in keep]
+            if not members:
+                break
+            thresholds = np.concatenate([thresholds[kernel.threshold_slices[j]] for j in keep])
+            accepted = np.concatenate([accepted[kernel.scale_slices[j]] for j in keep])
+            betas = [betas[j] for j in keep]
+            rngs = [rngs[j] for j in keep]
+            kernel = _GibbsKernel([kernel.fits[j] for j in keep])
+            sds = kernel.proposal_sds()
+        if m > burn_in and (m - burn_in) % thinning == 0:
+            row = (m - burn_in) // thinning - 1
+            for (k, i), beta, sl in zip(members, betas, kernel.threshold_slices):
+                beta_draws, threshold_draws = store[k]
+                beta_draws[i * stored + row] = beta
+                threshold_draws[i * stored + row] = thresholds[sl]
 
-    sweeps, burn_in, thinning = config.chain_sweeps, config.burn_in, config.thinning
-    size = num_chains * config.stored_draws
+    counts = [0] * len(fits)  # per fit: accepts per scale, over its chains
+    for j, (k, _) in enumerate(members):
+        counts[k] = counts[k] + accepted[kernel.scale_slices[j]]
+    results = []
+    for k, (dataset, config) in enumerate(fits):
+        if errors[k]:
+            results.append(errors[k][min(errors[k])])
+            continue
+        beta_draws, threshold_draws = store[k]
+        results.append(
+            DrawSet(
+                beta_draws=beta_draws,
+                threshold_draws=threshold_draws,
+                scales=dataset.scales,
+                chain_ids=np.repeat(np.arange(config.num_chains), stored),
+                iteration_ids=np.tile(
+                    burn_in + thinning * np.arange(1, stored + 1), config.num_chains
+                ),
+                accept_counts={
+                    s.scale_id: int(c) for s, c in zip(dataset.scales, counts[k])
+                },
+                proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
+            )
+        )
+    return results
 
-    beta_draws = np.empty((size, dataset.num_features))
-    threshold_draws = np.empty((size, thresholds0.size))
-    iteration_ids = np.empty(size, dtype=int)
-    acc_counts = {s.scale_id: 0 for s in dataset.scales}
 
-    out = 0
-    children = np.random.SeedSequence(config.seed).spawn(num_chains)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        beta, thresholds = beta0, thresholds0
-        for m in range(1, sweeps + 1):
-            try:
-                beta, thresholds, accepts = kernel.sweep(beta, thresholds, sds, rng)
-            except MsprobitError as exc:
-                raise type(exc)(f"chain {i}: sweep {m}: {exc}") from exc
-            for s, acc in zip(dataset.scales, accepts):
-                acc_counts[s.scale_id] += int(acc)
-            if m > burn_in and (m - burn_in) % thinning == 0:
-                beta_draws[out] = beta
-                threshold_draws[out] = thresholds
-                iteration_ids[out] = m
-                out += 1
-
-    return DrawSet(
-        beta_draws=beta_draws,
-        threshold_draws=threshold_draws,
-        scales=dataset.scales,
-        chain_ids=np.repeat(np.arange(num_chains), config.stored_draws),
-        iteration_ids=iteration_ids,
-        accept_counts=acc_counts,
-        proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
-    )
+def run_chains(dataset: Dataset, config: ChainConfig) -> DrawSet:
+    """Run config.num_chains independent chains of one fit in lockstep (see
+    run_fits); raises the error of the lowest failed chain."""
+    (result,) = run_fits([(dataset, config)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def mcse_mean(samples: np.ndarray) -> float:
@@ -427,11 +597,12 @@ def tune_proposal(
         raise ConfigError(f"target_rate must be in (0,1), got {target_rate}")
     target = float(target_rate)
     beta, thresholds = initial_state(dataset, config)
-    kernel = _GibbsKernel(dataset, config)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))
+    kernel = _GibbsKernel([_Fit(dataset, config)])
+    betas = [beta]
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))]
     sds = kernel.proposal_sds()
     for _ in range(config.burn_in):
-        beta, thresholds, _ = kernel.sweep(beta, thresholds, sds, rng)
+        betas, thresholds, _ = kernel.sweep(betas, thresholds, sds, rngs)
 
     n_scales = len(dataset.scales)
     lo = [None] * n_scales  # largest sd seen with rate above target
@@ -451,7 +622,7 @@ def tune_proposal(
         size = _BRACKET_WINDOW if bracketing else _CONFIRM_WINDOW
         acc = np.zeros(n_scales)
         for _ in range(size):
-            beta, thresholds, accepts = kernel.sweep(beta, thresholds, sds, rng)
+            betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs)
             acc += accepts
         rates = acc / size
         trajectory.append(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MsprobitError, SimulationError
 from .model import ChainConfig, Dataset, ScaleSpec
-from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_chains
+from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_fits
 
 _MAX_REDRAWS = 10_000
 _THRESHOLD_VARIANCE = 5.0
@@ -43,12 +43,18 @@ def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(gamma, y_star, side="left")
 
 
+def _is_count(value) -> bool:
+    """True for an int or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Design:
     """A simulation design: num_scales scales of obs_per_scale rows over
     num_features shared features. num_thresholds is one count for every
-    scale or one count per scale, and every class of every scale gets at
-    least min_per_class rows.
+    scale or a list of one count per scale, each an int or numpy integer
+    (not a bool), and every class of every scale gets at least
+    min_per_class rows.
 
     Counts become ints and num_thresholds a tuple of S counts here; a design
     simulate_dataset cannot draw raises ConfigError. The size is checked
@@ -72,8 +78,15 @@ class Design:
                 f"{MAX_STORED_VALUES} feature values (16 GiB) one dataset may hold"
             )
         num_thresholds = self.num_thresholds
-        if isinstance(num_thresholds, int):
+        if _is_count(num_thresholds):
             num_thresholds = (num_thresholds,) * S
+        if not isinstance(num_thresholds, (list, tuple, np.ndarray)) or not all(
+            _is_count(t) for t in num_thresholds
+        ):
+            raise ConfigError(
+                "num_thresholds must be an integer or a list of integers, "
+                f"got {num_thresholds!r}"
+            )
         num_thresholds = tuple(int(t) for t in num_thresholds)
         object.__setattr__(self, "num_thresholds", num_thresholds)
         if len(num_thresholds) != S:
@@ -252,12 +265,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
         stage = "simulate"
         try:
             sim = simulate_dataset(config.design, np.random.default_rng(children[0]))
+            grid = sim.dataset.model_grid()
+            # every fit of the grid runs in one batch
+            results = run_fits([
+                (data, replace(config.chain_config, seed=_fit_seed(child)))
+                for (_, data), child in zip(grid, children[1:])
+            ])
             fits: dict[str, DrawSet] = {}
-            for (name, data), child in zip(sim.dataset.model_grid(), children[1:]):
+            for (name, _), result in zip(grid, results):
                 stage = f"fit-{name}"
-                fits[name] = run_chains(
-                    data, replace(config.chain_config, seed=_fit_seed(child))
-                )
+                if isinstance(result, Exception):
+                    raise result
+                fits[name] = result
             stage = "metrics"
             rep_summary, rep_ratios, rep_draws = _score_replication(r, sim, fits)
         except MsprobitError as exc:

@@ -26,7 +26,7 @@ from msprobit.metrics import (
 )
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import preset
-from msprobit.sampler import _GibbsKernel, mcse_mean, run_chains, tune_proposal
+from msprobit.sampler import _Fit, _GibbsKernel, mcse_mean, run_chains, tune_proposal
 from msprobit.simulate import (
     Design,
     labels_from_latent,
@@ -88,19 +88,19 @@ def test_criterion_01_sweep_kernel_preserves_prior():
                     labels_from_latent(y_star[n_half:], thresholds[scale_slices[1]]),
                 ]
             )
-            kernel = _GibbsKernel(
+            kernel = _GibbsKernel([_Fit(
                 Dataset(features=X, labels=labels, scale_ids=scale_ids, scales=scales),
                 config,
-            )
+            )])
             eta = X @ beta
-            moved, _ = kernel.update_thresholds(eta, thresholds, sds, rng)
+            moved, _ = kernel.update_thresholds(eta, thresholds, sds, [rng])
             for sl in scale_slices:
                 # flat-prior move corrected to the box prior: zero density
                 # outside the box means the move is rejected after the fact
                 if np.all(np.abs(moved[sl]) <= BOX):
                     thresholds[sl] = moved[sl]
-            latents, _, _ = kernel.draw_latents(eta, thresholds, rng)
-            beta = kernel.draw_coefficients(latents, rng)
+            latents, _, _ = kernel.draw_latents(eta, thresholds, [rng])
+            (beta,) = kernel.draw_coefficients(latents, [rng])
             if it % thin == thin - 1:
                 kept["b1"].append(beta[0])
                 kept["b2"].append(beta[1])
@@ -143,10 +143,10 @@ def test_criterion_02_coefficient_update_oracle():
             scale_ids=np.array([1, 1]),
             scales=(ScaleSpec(1, 2),),
         )
-        kernel = _GibbsKernel(ds, ChainConfig(prior=Prior(mean=0.0, precision=1.0)))
+        kernel = _GibbsKernel([_Fit(ds, ChainConfig(prior=Prior(mean=0.0, precision=1.0)))])
         latents = np.array([1.0, 2.0])
         draws = np.array(
-            [kernel.draw_coefficients(latents, rng)[0] for _ in range(100_000)]
+            [kernel.draw_coefficients(latents, [rng])[0][0] for _ in range(100_000)]
         )
         mean_err = abs(draws.mean() - 5.0 / 6.0) / (5.0 / 6.0)
         var_err = abs(draws.var() - 1.0 / 6.0) / (1.0 / 6.0)

@@ -19,7 +19,7 @@ from msprobit.distributions import (
 )
 from msprobit.errors import DegeneracyError
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
-from msprobit.sampler import _GibbsKernel
+from msprobit.sampler import _Fit, _GibbsKernel
 
 # x -> Phi(x), 50-digit reference rounded to double
 CDF_REFERENCE = {
@@ -275,10 +275,10 @@ def test_mvn_from_precision_moments(rng):
         scales=(ScaleSpec(1, 2),),
     )
     prior = Prior(mean=np.array([2.4, -3.6]), precision=np.array([[1.5, 1.0], [1.0, 1.5]]))
-    kernel = _GibbsKernel(ds, ChainConfig(prior=prior))
+    kernel = _GibbsKernel([_Fit(ds, ChainConfig(prior=prior))])
     y_star = np.zeros(2)
     draws = np.array(
-        [kernel.draw_coefficients(y_star, rng) for _ in range(40_000)]
+        [kernel.draw_coefficients(y_star, [rng])[0] for _ in range(40_000)]
     )
     np.testing.assert_allclose(draws.mean(axis=0), [1.0, -2.0], atol=0.02)
     cov = np.cov(draws.T)
@@ -299,3 +299,26 @@ def test_truncated_normal_draw_is_deterministic():
     ys = sample_truncated_normal_many(np.zeros(3), [1.0, 1.0, 2.0], lowers, lowers + 1.0, b)
     np.testing.assert_array_equal(xs, ys)
     assert a.random() == b.random()
+
+
+def test_blocks_draw_as_their_lone_calls():
+    # three blocks with their own streams: the middle one is degenerate at
+    # its element 1, the last one redraws a far-tail element
+    means = np.zeros(7)
+    lowers = np.array([-1.0, 0.0, -1.0, 40.0, 40.0, 0.0, 8.0])
+    uppers = lowers + 1.0
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    draws, errors = sample_truncated_normal_many(means, 1.0, lowers, uppers, rngs, [2, 3, 2])
+    assert list(errors) == [1]
+    assert str(errors[1]).startswith("interval probability mass underflow at index 1:")
+    assert str(errors[1]).endswith("; 2 elements affected in total")
+    assert np.all(np.isnan(draws[2:5]))
+    # the failed block took nothing from its stream
+    assert rngs[1].bit_generator.state == np.random.default_rng(2).bit_generator.state
+    for g, seed, block in ((rngs[0], 1, slice(0, 2)), (rngs[2], 3, slice(5, 7))):
+        lone = np.random.default_rng(seed)
+        want = sample_truncated_normal_many(
+            means[block], 1.0, lowers[block], uppers[block], lone
+        )
+        np.testing.assert_array_equal(draws[block], want)
+        assert g.bit_generator.state == lone.bit_generator.state

@@ -13,12 +13,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from msprobit import io, sampler
-from msprobit.errors import ConfigError, InitializationError
+from msprobit import distributions, io, sampler
+from msprobit.errors import (
+    ConfigError,
+    DegeneracyError,
+    InitializationError,
+    SamplerPanicError,
+)
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import preset
 from msprobit.sampler import (
     DrawSet,
+    _Fit,
     _GibbsKernel,
     mcse_mean,
     run_chains,
@@ -73,7 +79,7 @@ def _ratio_kernel(labels, scale_ids, num_classes):
         scale_ids=scale_ids,
         scales=tuple(ScaleSpec(k + 1, c) for k, c in enumerate(num_classes)),
     )
-    return _GibbsKernel(ds, ChainConfig())
+    return _GibbsKernel([_Fit(ds, ChainConfig())])
 
 
 def _log_ratio(current, proposed, eta, labels, sd):
@@ -210,13 +216,13 @@ def test_mh_update_moves_toward_data(two_scale_dataset):
     # with beta fixed at truth-ish values the thresholds should drift toward
     # the label boundaries and keep ordering at every step
     ds = two_scale_dataset.restrict_to_scale(2)
-    kernel = _GibbsKernel(ds, ChainConfig())
+    kernel = _GibbsKernel([_Fit(ds, ChainConfig())])
     g = np.random.default_rng(5)
     thresholds = np.array([-2.5, 2.5])
     eta = np.zeros(ds.num_obs)
     accepted = 0
     for _ in range(400):
-        thresholds, accepts = kernel.update_thresholds(eta, thresholds, [0.4], g)
+        thresholds, accepts = kernel.update_thresholds(eta, thresholds, [0.4], [g])
         accepted += accepts[0]
         assert thresholds[0] < thresholds[1]
     assert 0 < accepted < 400
@@ -252,7 +258,7 @@ def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
 
     monkeypatch.setattr(sampler, "sample_truncated_normal_many", counted)
     for _ in range(300):
-        thresholds, _ = kernel.update_thresholds(eta, thresholds, sds, g)
+        thresholds, _ = kernel.update_thresholds(eta, thresholds, sds, [g])
     assert len(seen) == 300
     # threshold c of every scale that has one, in one call per position
     assert sizes == [3, 2, 1] * 300
@@ -267,13 +273,11 @@ def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
 
 def test_inverse_factor_gives_posterior_covariance(two_scale_dataset):
     prior = Prior(mean=0.0, precision=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]))
-    kernel = _GibbsKernel(two_scale_dataset, ChainConfig(prior=prior))
+    fit = _Fit(two_scale_dataset, ChainConfig(prior=prior))
     X = two_scale_dataset.features
     want = np.linalg.inv(prior.precision_matrix(3) + X.T @ X)
-    np.testing.assert_allclose(
-        kernel.chol_inv.T @ kernel.chol_inv, want, rtol=0, atol=1e-12
-    )
-    assert np.allclose(np.triu(kernel.chol_inv, 1), 0.0)
+    np.testing.assert_allclose(fit.chol_inv.T @ fit.chol_inv, want, rtol=0, atol=1e-12)
+    assert np.allclose(np.triu(fit.chol_inv, 1), 0.0)
 
 
 def _one_feature_kernel(features, prior):
@@ -285,7 +289,7 @@ def _one_feature_kernel(features, prior):
         scale_ids=np.ones(n, dtype=int),
         scales=(ScaleSpec(1, 2),),
     )
-    return _GibbsKernel(ds, ChainConfig(prior=prior))
+    return _GibbsKernel([_Fit(ds, ChainConfig(prior=prior))])
 
 
 def test_draw_beta_hand_computed_posterior(rng):
@@ -293,7 +297,7 @@ def test_draw_beta_hand_computed_posterior(rng):
     kernel = _one_feature_kernel([1.0, 2.0], Prior())
     y_star = np.array([1.0, 2.0])
     draws = np.array(
-        [kernel.draw_coefficients(y_star, rng)[0] for _ in range(20_000)]
+        [kernel.draw_coefficients(y_star, [rng])[0][0] for _ in range(20_000)]
     )
     assert draws.mean() == pytest.approx(5.0 / 6.0, abs=0.01)
     assert draws.var() == pytest.approx(1.0 / 6.0, rel=0.05)
@@ -304,7 +308,7 @@ def test_draw_beta_flat_prior_hits_sample_mean(rng):
     kernel = _one_feature_kernel(np.ones(n), Prior(precision=1e-8))
     y_star = np.full(n, 3.0)
     draws = np.array(
-        [kernel.draw_coefficients(y_star, rng)[0] for _ in range(10_000)]
+        [kernel.draw_coefficients(y_star, [rng])[0][0] for _ in range(10_000)]
     )
     assert draws.mean() == pytest.approx(3.0, abs=0.01)
 
@@ -313,7 +317,7 @@ def test_draw_beta_dominating_prior(rng):
     kernel = _one_feature_kernel([1.0, 2.0], Prior(precision=1e12))
     y_star = np.array([5.0, 5.0])
     for _ in range(50):
-        b = kernel.draw_coefficients(y_star, rng)
+        (b,) = kernel.draw_coefficients(y_star, [rng])
         assert abs(b[0]) < 1e-4
 
 
@@ -321,11 +325,11 @@ def test_draw_latents_respects_intervals(two_scale_dataset, rng):
     # rows of the two scales interleaved, so each row's edge index matters
     order = np.random.default_rng(8).permutation(two_scale_dataset.num_obs)
     ds = two_scale_dataset.subset(order)
-    kernel = _GibbsKernel(ds, ChainConfig())
+    kernel = _GibbsKernel([_Fit(ds, ChainConfig())])
     beta = np.array([0.3, -0.2, 0.1])
     gammas = [np.array([0.0]), np.array([-0.7, 0.7])]
     y, lowers, uppers = kernel.draw_latents(
-        ds.features @ beta, np.concatenate(gammas), rng
+        ds.features @ beta, np.concatenate(gammas), [rng]
     )
     for k, s in enumerate(ds.scales):
         rows = ds.rows_for_scale(s.scale_id)
@@ -412,6 +416,140 @@ def test_chain_rejects_empty_scale():
     )
     with pytest.raises((ConfigError, InitializationError)):
         run_chains(ds, ChainConfig(burn_in=1, thinning=1, stored_draws=1))
+
+
+# -- lockstep batches -----------------------------------------------------------
+
+_SCHEDULE = {"burn_in": 20, "thinning": 2, "stored_draws": 15}
+
+
+def _tail_dataset(n=30):
+    # labels that fall with the feature, against a prior that holds beta
+    # near 4: many latent intervals keep a mass below 1e-10
+    g = np.random.default_rng(0)
+    x = g.normal(size=(n, 1))
+    labels = np.where(-x[:, 0] + g.normal(size=n) > 0, 2, 1)
+    return Dataset(
+        features=x, labels=labels, scale_ids=np.ones(n, dtype=int), scales=(ScaleSpec(1, 2),)
+    )
+
+
+def _ragged_fits():
+    """Fits that differ in rows, features, scales, thresholds, seed and
+    chain count; the last one draws latents in the far tail."""
+    two, _ = make_two_scale_dataset(seed=3, n_per=45)
+    wide = simulate_dataset(Design(3, 20, 5, (1, 3, 2)), np.random.default_rng(9)).dataset
+    return [
+        (two, ChainConfig(**_SCHEDULE, seed=1, num_chains=2)),
+        (wide, ChainConfig(**_SCHEDULE, seed=2, proposal_sd={1: 1.0, 2: 0.5, 3: 0.4})),
+        (wide.restrict_to_scale(2), ChainConfig(**_SCHEDULE, seed=3)),
+        (_tail_dataset(), ChainConfig(**_SCHEDULE, seed=4, prior=Prior(mean=4.0, precision=100.0))),
+    ]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The generators of every sweep's members, in batch order, for the
+    last batch run through run_fits_seen."""
+    seen = []
+    sweep = sampler._GibbsKernel.sweep
+
+    def recording(self, betas, thresholds, sds, rngs, failed=None):
+        seen.append(list(rngs))
+        return sweep(self, betas, thresholds, sds, rngs, failed)
+
+    monkeypatch.setattr(sampler._GibbsKernel, "sweep", recording)
+    return seen
+
+
+def run_fits_seen(fits, seen):
+    """run_fits(fits) and the generator of each chain, in batch order."""
+    seen.clear()
+    return sampler.run_fits(fits), seen[0]
+
+
+def _assert_same_fit(got, want):
+    for name in ("beta_draws", "threshold_draws", "chain_ids", "iteration_ids"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.accept_counts == want.accept_counts
+    assert got.proposal_counts == want.proposal_counts
+
+
+def test_batch_draws_are_each_fits_lone_draws(monkeypatch, sweeps):
+    tails = []
+    tail_draw = distributions._tail_draw
+
+    def counted(a, b, rng):
+        tails.append(rng)
+        return tail_draw(a, b, rng)
+
+    monkeypatch.setattr(distributions, "_tail_draw", counted)
+    fits = _ragged_fits()
+    batch, batch_rngs = run_fits_seen(fits, sweeps)
+    # the tail fit redrew latents by rejection, from its own stream, in the batch
+    assert any(g is batch_rngs[-1] for g in tails)
+    assert all(g is batch_rngs[-1] for g in tails)
+    start = 0
+    for fit, got in zip(fits, batch):
+        (want,), rngs = run_fits_seen([fit], sweeps)
+        _assert_same_fit(got, want)
+        _assert_same_fit(sampler.run_chains(*fit), want)
+        for g, h in zip(batch_rngs[start:], rngs):
+            assert g.bit_generator.state == h.bit_generator.state
+        start += len(rngs)
+    assert start == len(batch_rngs)
+
+
+def _inject_panics(monkeypatch, seen, faults):
+    """Make the chain at batch position j fail at sweep m for every (j, m)
+    in faults, recorded in the sweep as a block records a sampler error."""
+    sweep = sampler._GibbsKernel.sweep
+
+    def failing(self, betas, thresholds, sds, rngs, failed=None):
+        out = sweep(self, betas, thresholds, sds, rngs, failed)
+        for j, g in enumerate(rngs):
+            first = next(i for i, h in enumerate(seen[0]) if h is g)
+            if (first, len(seen)) in faults:
+                failed.setdefault(j, SamplerPanicError("injected panic"))
+        return out
+
+    monkeypatch.setattr(sampler._GibbsKernel, "sweep", failing)
+
+
+def test_failed_chains_leave_the_rest_of_the_batch_as_run_alone(monkeypatch, sweeps):
+    fits = _ragged_fits()
+    # a latent interval far below 1e-300 at the first sweep
+    fits.append((_tail_dataset(), ChainConfig(**_SCHEDULE, prior=Prior(mean=40.0, precision=1e4))))
+    alone = [sampler.run_fits([fit])[0] for fit in fits]
+    assert isinstance(alone[4], DegeneracyError)
+    # batch positions: fit 0 chains 0 and 1, then fits 1, 2, 3 and 4
+    _inject_panics(monkeypatch, sweeps, {(1, 5), (0, 30), (3, 3)})
+    batch, _ = run_fits_seen(fits, sweeps)
+
+    # the lowest failed chain names the fit's error, not the earliest one
+    assert type(batch[0]) is SamplerPanicError
+    assert str(batch[0]) == "chain 0: sweep 30: injected panic"
+    assert str(batch[2]) == "chain 0: sweep 3: injected panic"
+    # a sampler error reads as in the lone run, its index counted in the fit
+    assert type(batch[4]) is DegeneracyError
+    assert str(batch[4]) == str(alone[4])
+    assert str(batch[4]).startswith("chain 0: sweep 1: interval probability mass underflow")
+    for k in (1, 3):
+        _assert_same_fit(batch[k], alone[k])
+
+    # run_chains raises the lowest chain's error
+    sweeps.clear()
+    with pytest.raises(SamplerPanicError) as raised:
+        sampler.run_chains(*fits[0])
+    assert str(raised.value) == "chain 0: sweep 30: injected panic"
+
+
+def test_batch_fits_share_one_schedule(two_scale_dataset):
+    with pytest.raises(ValueError, match="schedule"):
+        sampler.run_fits([
+            (two_scale_dataset, ChainConfig(**_SCHEDULE)),
+            (two_scale_dataset, ChainConfig(**{**_SCHEDULE, "thinning": 1})),
+        ])
 
 
 def test_mcse_mean_scaling(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import msprobit.simulate as sim_mod
+from msprobit import sampler
 from msprobit.errors import ConfigError, SamplerPanicError, SimulationError
 from msprobit.model import ChainConfig
 from msprobit.simulate import (
@@ -76,6 +77,19 @@ def test_simulate_validates_parameters():
     with pytest.raises(ConfigError):
         # n too small to ever hold k of each class
         Design(1, 5, 2, (2,), 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(2), 1.5, 2.0, None, "12", True, [1.5, 2]],
+    ids=["int64", "1.5", "2.0", "None", "str", "True", "list-with-float"],
+)
+def test_design_takes_integer_threshold_counts_only(value):
+    if isinstance(value, np.integer):
+        assert Design(2, 30, 3, value).num_thresholds == (2, 2)
+        return
+    with pytest.raises(ConfigError, match="^num_thresholds [^\n]*$"):
+        Design(2, 30, 3, value)
 
 
 def test_simulate_redraw_cap(monkeypatch, rng):
@@ -205,15 +219,16 @@ def test_experiment_failure_census(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["multi", "single-2"])
 def test_experiment_failure_census_names_the_failed_fit(monkeypatch, failing):
-    real_run_chains = sim_mod.run_chains
+    # the failure is injected into one fit's set-up inside the batch
+    real_initial_state = sampler.initial_state
 
-    def run_chains(dataset, config):
+    def initial_state(dataset, config):
         scale_ids = [s.scale_id for s in dataset.scales]
         if failing == ("multi" if len(scale_ids) > 1 else f"single-{scale_ids[0]}"):
             raise SamplerPanicError("injected failure")
-        return real_run_chains(dataset, config)
+        return real_initial_state(dataset, config)
 
-    monkeypatch.setattr(sim_mod, "run_chains", run_chains)
+    monkeypatch.setattr(sampler, "initial_state", initial_state)
     report = run_experiment(_tiny_experiment(replications=2))
     assert [(f.replication, f.stage, f.message) for f in report.failures] == [
         (1, f"fit-{failing}", "injected failure"),
