@@ -29,7 +29,6 @@ from .metrics import (
     class_probabilities,
     evaluate_splits,
     fit_standardizer,
-    latent_scores,
 )
 from .model import Dataset
 from .presets import preset
@@ -211,7 +210,8 @@ def cmd_predict(args):
             )
         X = (X - mean) / sd
 
-    scores = latent_scores(draws.beta_draws, X)
+    # the latent mean of every row under every draw, (n, M)
+    scores = X @ draws.beta_draws.T
     # posterior-averaged (n, C)
     probs = class_probabilities(scores, draws.gamma_draws_for(target)).mean(axis=2)
     map_class = np.argmax(probs, axis=1) + 1

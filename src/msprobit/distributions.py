@@ -129,46 +129,24 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
     With counts, the elements are consecutive blocks of counts[j] elements
     and rng is a sequence of one generator per block: one call serves many
     independent streams, and block j takes from rng[j] exactly the values
-    a call with block j alone would take. Such a call raises nothing for a
-    block. It returns (draws, errors), where errors maps a failed block to
-    the error the call with that block alone raises, its element index
-    counted within the block. A failed block, or one whose generator is
-    None, takes no further stream values and draws NaN.
+    a call with block j alone would take. Such a call raises as a lone
+    call does, an element named by its index in the whole call.
     """
     means = np.asarray(means, dtype=float)
     variance = np.asarray(variance, dtype=float)
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
-    if counts is not None:
-        return _draw_blocks(means, variance, lowers, uppers, rng, counts)
-    size = np.broadcast(means, variance, lowers, uppers).size
-    draws, errors = _draw_blocks(means, variance, lowers, uppers, [rng], [size])
-    if errors:
-        raise errors[0]
-    return draws
-
-
-def _draw_blocks(means, variance, lowers, uppers, rngs, counts):
-    """sample_truncated_normal_many's draws and per-block errors."""
-    bounds = [0, *accumulate(counts)]
-    errors = {}
+    if counts is None:
+        rng, counts = [rng], [np.broadcast(means, variance, lowers, uppers).size]
     # one check covers a NaN bound too: lower < upper is then False
     valid = np.isfinite(means) & (variance > 0.0) & (variance < np.inf) & (lowers < uppers)
     if not valid.all():
-        for i in np.flatnonzero(~valid).tolist():
-            j = int(np.searchsorted(bounds, i, side="right")) - 1
-            if rngs[j] is not None and j not in errors:
-                errors[j] = ValueError(
-                    "need a finite mean, a positive finite variance and lower < upper, "
-                    f"got Normal({_at(means, valid, i)}, {_at(variance, valid, i)}) on "
-                    f"({_at(lowers, valid, i)}, {_at(uppers, valid, i)}) at index "
-                    f"{i - bounds[j]}"
-                )
-        # the invalid elements go on as a harmless stand-in, never drawn
-        means = np.where(valid, means, 0.0)
-        variance = np.where(valid, variance, 1.0)
-        lowers = np.where(valid, lowers, -1.0)
-        uppers = np.where(valid, uppers, 1.0)
+        i = int(np.flatnonzero(~valid)[0])
+        raise ValueError(
+            "need a finite mean, a positive finite variance and lower < upper, "
+            f"got Normal({_at(means, valid, i)}, {_at(variance, valid, i)}) on "
+            f"({_at(lowers, valid, i)}, {_at(uppers, valid, i)}) at index {i}"
+        )
     sd = np.sqrt(variance)
     a = (lowers - means) / sd
     b = (uppers - means) / sd
@@ -185,50 +163,30 @@ def _draw_blocks(means, variance, lowers, uppers, rngs, counts):
         lm = log_interval_mass(a[low], b[low])
         bad = low[lm < _LOG_MASS_FLOOR]
         if bad.size:
-            bad_blocks = np.searchsorted(bounds, bad, side="right") - 1
-            for j in np.unique(bad_blocks).tolist():
-                in_block = bad[bad_blocks == j]
-                if rngs[j] is None or j in errors:
-                    continue
-                i = int(in_block[0])
-                errors[j] = DegeneracyError(
-                    f"interval probability mass underflow at index {i - bounds[j]}: "
-                    f"bounds ({_at(lowers, a, i)}, {_at(uppers, a, i)}) under "
-                    f"Normal({_at(means, a, i)}, {_at(variance, a, i)})"
-                    + (
-                        f"; {in_block.size} elements affected in total"
-                        if in_block.size > 1
-                        else ""
-                    )
-                )
+            i = int(bad[0])
+            raise DegeneracyError(
+                f"interval probability mass underflow at index {i}: "
+                f"bounds ({_at(lowers, a, i)}, {_at(uppers, a, i)}) under "
+                f"Normal({_at(means, a, i)}, {_at(variance, a, i)})"
+                + (f"; {bad.size} elements affected in total" if bad.size > 1 else "")
+            )
         tail = low[lm < _LOG_INVERSE_CDF_CUTOFF]
 
-    live = [g is not None and j not in errors for j, g in enumerate(rngs)]
     # rng.uniform(pa, pb) bit for bit: one stream value per element
-    u = np.concatenate(
-        [g.random(n) if ok else np.full(n, 0.5) for g, n, ok in zip(rngs, counts, live)]
-    )
+    u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
     u = pa + mass * u.reshape(mass.shape)
     z = ndtri(np.minimum(np.maximum(u, 5e-324), 1.0 - 1e-16))
     z = np.where(flip, -z, z)
     # Tail draws work in the original frame and overwrite the inverse-CDF
-    # values in their slots.
-    tail_blocks = np.searchsorted(bounds, tail, side="right") - 1 if tail.size else tail
-    for i, j in zip(tail.tolist(), tail_blocks.tolist()):
-        if live[j]:
-            try:
-                z[i] = _tail_draw(float(a[i]), float(b[i]), rngs[j])
-            except NumericalError as exc:
-                errors[j] = exc
-                live[j] = False
+    # values in their slots, each from its block's generator.
+    if tail.size:
+        blocks = np.searchsorted(list(accumulate(counts)), tail, side="right")
+        for i, j in zip(tail.tolist(), blocks.tolist()):
+            z[i] = _tail_draw(float(a[i]), float(b[i]), rng[j])
 
     x = means + sd * z
     x = np.maximum(x, np.nextafter(lowers, np.inf))
-    x = np.minimum(x, np.nextafter(uppers, -np.inf))
-    for j, ok in enumerate(live):
-        if not ok:
-            x.reshape(-1)[bounds[j] : bounds[j + 1]] = np.nan
-    return x, errors
+    return np.minimum(x, np.nextafter(uppers, -np.inf))
 
 
 def _at(values, like, i):

@@ -144,15 +144,10 @@ def _nanmean(vec: np.ndarray) -> float:
     return float(finite.mean()) if finite.size else float("nan")
 
 
-def latent_scores(beta_draws: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Latent mean X[i] @ beta_draws[m] of every row under every draw, shape
-    (n, M); its mean over draws is the model's ranking score."""
-    return X @ beta_draws.T
-
-
 def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
     """Class probabilities of every row under every draw, shape (n, C, M),
-    from the (n, M) latent_scores and the (M, C - 1) threshold draws.
+    from the (n, M) latent means X @ beta_draws.T and the (M, C - 1)
+    threshold draws.
 
     Under draw m class c gets the normal mass around scores[i, m] between
     thresholds c-1 and c of gamma_draws[m], with -inf and +inf closing the
@@ -172,7 +167,7 @@ def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarr
 
 def classify_draws(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
     """Most probable class of every row under every draw, from the (n, M)
-    latent_scores, as an (n, M) matrix of 1-based labels; ties go to the
+    latent means, as an (n, M) matrix of 1-based labels; ties go to the
     lower class."""
     return np.argmax(class_probabilities(scores, gamma_draws), axis=1) + 1
 
@@ -226,7 +221,7 @@ def _side_metric_rows(
     if labels.size == 0:
         values = {name: np.full(m, np.nan) for name in names}
     else:
-        scores = latent_scores(drawset.beta_draws, X)
+        scores = X @ drawset.beta_draws.T
         pred = classify_draws(scores, drawset.gamma_draws_for(scale.scale_id))
         f1_class, f1_macro, _ = f1_from_counts(
             confusion_counts(pred, labels, scale.num_classes)

@@ -199,8 +199,12 @@ class ChainConfig:
                 ) from None
         else:
             sd = float(self.proposal_sd)
-        if not sd > 0:
-            raise ConfigError(f"proposal_sd for scale {scale_id} must be > 0")
+        # the proposal variance, sd squared, must be positive and finite too
+        if not (sd > 0 and 0.0 < sd * sd < np.inf):
+            raise ConfigError(
+                f"proposal_sd for scale {scale_id} must be > 0 and its square "
+                f"positive and finite, got {sd!r}"
+            )
         return sd
 
 
@@ -294,7 +298,7 @@ def default_init(dataset: Dataset, prior: Prior):
     gammas = []
     for s in dataset.scales:
         labels = dataset.labels[dataset.rows_for_scale(s.scale_id)]
-        empty = missing_classes(labels, s.num_classes) if labels.size else "all"
+        empty = missing_classes(labels, s.num_classes)
         if empty:
             raise InitializationError(
                 f"scale {s.scale_id} has empty classes {empty}; every class "

@@ -19,7 +19,10 @@ Every truncated-normal draw goes through ``sample_truncated_normal_many``.
 One kernel steps a batch of chains, of one fit or of several, in
 lockstep: the flat layout holds the scales of every chain end to end, so
 each vector call above serves the whole batch, while each chain keeps its
-own generator and draws the values it would draw alone.
+own generator and draws the values it would draw alone. A block raises
+the first error it finds in any chain of the batch; run_fits then runs
+the batch again in halves, down to lone chains, so every error names its
+chain and reads as that chain's lone run gives it.
 """
 
 from __future__ import annotations
@@ -141,14 +144,6 @@ def _slices(sizes: list[int]) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
-def _fail(failed, member: int, exc: Exception):
-    """Take member out of the rest of the sweep with its first error, or
-    raise the error when the caller keeps no record (failed is None)."""
-    if failed is None:
-        raise exc
-    failed.setdefault(member, exc)
-
-
 class _GibbsKernel:
     """The Gibbs sampler for a batch of members, each one chain of one fit
     (a _Fit per member; the chains of a fit share it). run_fits, the tuner
@@ -170,9 +165,9 @@ class _GibbsKernel:
     same order, and keeps its own products with its features and inverse
     factor, so its draws do not depend on the batch it runs in.
 
-    A block that finds a member's error records it in `failed`, a dict of
-    member index to error, and steps that member no further in the sweep;
-    without the dict the error is raised.
+    A block that finds an error in any member raises it, as a lone chain's
+    block would; run_fits reruns a failed batch in halves to find the
+    member it belongs to.
     """
 
     def __init__(self, fits: list[_Fit]):
@@ -182,7 +177,7 @@ class _GibbsKernel:
         self._scales = scales
         # the member of every member-scale, and the member-scale of every
         # threshold of the flat state
-        self._scale_member = [j for j, f in enumerate(fits) for _ in f.dataset.scales]
+        scale_member = [j for j, f in enumerate(fits) for _ in f.dataset.scales]
         self._threshold_scale = np.repeat(np.arange(len(scales)), num_thresholds)
         # True between neighbouring thresholds of different member-scales
         self._scale_breaks = np.diff(self._threshold_scale) != 0
@@ -210,7 +205,7 @@ class _GibbsKernel:
         self._proposal_steps = []
         for c in range(1, max(num_thresholds) + 1):
             taking = [k for k, t in enumerate(num_thresholds) if t >= c]
-            blocks = Counter(self._scale_member[k] for k in taking)
+            blocks = Counter(scale_member[k] for k in taking)
             current = starts[taking] + c
             self._proposal_steps.append(
                 (current, current + width - 1, current + 1, current + width,
@@ -247,24 +242,17 @@ class _GibbsKernel:
         """The flat thresholds of member-scale k as a list, for messages."""
         return thresholds[self._threshold_bounds[k] : self._threshold_bounds[k + 1]].tolist()
 
-    @staticmethod
-    def _live(rngs, failed):
-        """rngs with None for every member taken out of the sweep."""
-        if not failed:
-            return rngs
-        return [None if j in failed else g for j, g in enumerate(rngs)]
-
-    def sweep(self, betas, thresholds, proposal_sds, rngs, failed=None):
+    def sweep(self, betas, thresholds, proposal_sds, rngs):
         """One full sweep of every member; returns (betas, thresholds,
-        accepts), a failed member's beta None."""
+        accepts)."""
         eta = np.concatenate([f.dataset.features @ b for f, b in zip(self.fits, betas)])
-        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs, failed)
-        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs, failed)
-        betas = self.draw_coefficients(y_star, rngs, failed)
-        self._check_state(betas, thresholds, y_star, lowers, uppers, failed)
+        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs)
+        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs)
+        betas = self.draw_coefficients(y_star, rngs)
+        self._check_state(betas, thresholds, y_star, lowers, uppers)
         return betas, thresholds, accepts
 
-    def update_thresholds(self, eta, thresholds, proposal_sds, rngs, failed=None):
+    def update_thresholds(self, eta, thresholds, proposal_sds, rngs):
         """One blocked MH move per member-scale given the linear predictor
         eta; returns the new thresholds and the accept flags. The move
         integrates the latents out, so it sees only the labels.
@@ -279,38 +267,27 @@ class _GibbsKernel:
         edges[self._threshold_pos] = thresholds
         variances = np.square(proposal_sds)
         for current, below, above, slots, taking, members, counts in self._proposal_steps:
-            live = self._live(rngs, failed)
-            edges[slots], errors = sample_truncated_normal_many(
+            edges[slots] = sample_truncated_normal_many(
                 edges[current], variances[taking], edges[below], edges[above],
-                [live[j] for j in members], counts,
+                [rngs[j] for j in members], counts,
             )
-            for block, exc in errors.items():
-                _fail(failed, members[block], exc)
         uniforms = []
-        for g, scales in zip(self._live(rngs, failed), self.scale_slices):
-            n = scales.stop - scales.start
-            uniforms.extend(g.random(n).tolist() if g is not None else [0.0] * n)
+        for g, scales in zip(rngs, self.scale_slices):
+            uniforms.extend(g.random(scales.stop - scales.start).tolist())
         proposed = edges[self._threshold_slots[1]]
         log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, proposal_sds)
         accepts = []
-        for k, (log_ratio, u, j) in enumerate(
-            zip(log_ratios.tolist(), uniforms, self._scale_member)
-        ):
-            if failed and j in failed:
-                accepts.append(False)
-                continue
+        for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
             if math.isnan(log_ratio) or log_ratio == math.inf:
                 rows = slice(self._row_bounds[k], self._row_bounds[k + 1])
                 eta_k = (eta if self._grouping is None else eta[self._grouping])[rows]
-                _fail(failed, j, SamplerPanicError(
+                raise SamplerPanicError(
                     "zero-probability or undefined state in threshold update: "
                     f"scale={self._scales[k].scale_id} "
                     f"current={self._per_scale(thresholds, k)} "
                     f"proposed={self._per_scale(proposed, k)} log_ratio={log_ratio} "
                     f"eta_range=({eta_k.min()}, {eta_k.max()})"
-                ))
-                accepts.append(False)
-                continue
+                )
             accepts.append(
                 log_ratio >= 0.0
                 or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
@@ -357,7 +334,7 @@ class _GibbsKernel:
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
-    def draw_latents(self, eta, thresholds, rngs, failed=None):
+    def draw_latents(self, eta, thresholds, rngs):
         """Redraw every latent from its truncated-normal conditional, each
         member's from its own generator; returns the latents and their
         lower and upper bounds."""
@@ -365,52 +342,34 @@ class _GibbsKernel:
         edges[self._threshold_pos] = thresholds
         lowers = edges[self._lower_pos]
         uppers = edges[self._upper_pos]
-        y_star, errors = sample_truncated_normal_many(
-            eta, 1.0, lowers, uppers, self._live(rngs, failed), self._row_counts
-        )
-        for member, exc in errors.items():
-            _fail(failed, member, exc)
+        y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rngs, self._row_counts)
         return y_star, lowers, uppers
 
-    def draw_coefficients(self, y_star, rngs, failed=None) -> list:
+    def draw_coefficients(self, y_star, rngs) -> list:
         """Exact conjugate draw of every member's coefficients given the
-        latents; None for a member taken out of the sweep."""
+        latents."""
         betas = []
-        for j, (f, g, rows) in enumerate(zip(self.fits, rngs, self.row_slices)):
-            if failed and j in failed:
-                betas.append(None)
-                continue
+        for f, g, rows in zip(self.fits, rngs, self.row_slices):
             b = f.lam_mu + f.dataset.features.T @ y_star[rows]
             z = g.standard_normal(b.size)
             betas.append(f.chol_inv.T @ (f.chol_inv @ b + z))
         return betas
 
-    def _check_state(self, betas, thresholds, y_star, lowers, uppers, failed=None):
+    def _check_state(self, betas, thresholds, y_star, lowers, uppers):
         inside = (y_star > lowers) & (y_star < uppers)
         ordered = (thresholds[1:] > thresholds[:-1]) | self._scale_breaks
-        if (
-            not failed
-            and inside.all()
-            and ordered.all()
-            and all(np.isfinite(beta).all() for beta in betas)
-        ):
+        if inside.all() and ordered.all() and all(np.isfinite(beta).all() for beta in betas):
             return
-        for j, beta in enumerate(betas):
-            if beta is None:
-                continue
-            rows = self.row_slices[j]
-            scales = self.scale_slices[j]
-            if not (
-                np.isfinite(beta).all()
-                and ordered[self.threshold_slices[j]].all()
-                and inside[rows].all()
-            ):
+        for beta, rows, scales, own in zip(
+            betas, self.row_slices, self.scale_slices, self.threshold_slices
+        ):
+            if not (np.isfinite(beta).all() and ordered[own].all() and inside[rows].all()):
                 gammas = [self._per_scale(thresholds, k) for k in range(scales.start, scales.stop)]
-                _fail(failed, j, SamplerPanicError(
-                    f"post-sweep invariant violated: beta={np.asarray(beta).tolist()} "
+                raise SamplerPanicError(
+                    f"post-sweep invariant violated: beta={beta.tolist()} "
                     f"gammas={gammas} "
                     f"latent_range=({y_star[rows].min()}, {y_star[rows].max()})"
-                ))
+                )
 
     def proposal_sds(self) -> list[float]:
         """The proposal sd of every member-scale."""
@@ -426,9 +385,6 @@ def initial_state(dataset: Dataset, config: ChainConfig):
     sized by a class count.
     """
     validate_dataset(dataset, allow_zero_columns=True)
-    for s in dataset.scales:
-        if not np.any(dataset.scale_ids == s.scale_id):
-            raise ConfigError(f"scale {s.scale_id} declared but has no observations")
     beta, gammas = default_init(dataset, config.prior)
     return beta, np.concatenate(gammas)
 
@@ -464,10 +420,10 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
     per chain, keeping every thinning-th post-burn-in state. Chain i of a
     fit draws from child i of SeedSequence(config.seed), exactly the values
     it would draw alone, so a fit's draws do not depend on the fits or
-    chains it runs beside. A chain that fails is taken out and the others
-    go on; a failed fit's entry is the error of its lowest failed chain,
-    "chain i: sweep m: " before the message of a sampler error, or the
-    error its set-up raised.
+    chains it runs beside. A batch that raises is run again in halves,
+    down to lone chains, so a failed fit's entry is the error of its
+    lowest failed chain, "chain i: sweep m: " before the message of a
+    sampler error, or the error its set-up raised.
     """
     schedules = {(c.burn_in, c.thinning, c.stored_draws) for _, c in fits}
     if len(schedules) != 1:
@@ -475,8 +431,8 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
     ((burn_in, thinning, stored),) = schedules
 
     errors = [{} for _ in fits]  # per fit: chain index -> error
-    store = [None] * len(fits)  # per fit: beta and threshold draws
-    members, member_fits, betas, thresholds, rngs = [], [], [], [], []
+    store = [None] * len(fits)  # per fit: beta draws, threshold draws, accepts
+    members = []  # per chain: fit index, chain index, _Fit, start beta and thresholds, seed
     for k, (dataset, config) in enumerate(fits):
         try:
             beta0, thresholds0 = initial_state(dataset, config)
@@ -486,56 +442,22 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
             errors[k][0] = exc
             continue
         size = config.num_chains * stored
-        store[k] = (np.empty((size, beta0.size)), np.empty((size, thresholds0.size)))
+        store[k] = (
+            np.empty((size, beta0.size)),
+            np.empty((size, thresholds0.size)),
+            np.zeros(len(dataset.scales), dtype=int),
+        )
         for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.num_chains)):
-            members.append((k, i))
-            member_fits.append(fit)
-            betas.append(beta0)
-            thresholds.append(thresholds0)
-            rngs.append(np.random.default_rng(child))
+            members.append((k, i, fit, beta0, thresholds0, child))
+    if members:
+        _run_batch(members, (burn_in, thinning, stored), store, errors)
 
-    if not members:  # every fit failed in its set-up
-        return [e[0] for e in errors]
-    kernel = _GibbsKernel(member_fits)
-    thresholds = np.concatenate(thresholds)
-    sds = kernel.proposal_sds()
-    accepted = np.zeros(len(sds), dtype=int)  # per member-scale
-    for m in range(1, burn_in + thinning * stored + 1):
-        failed = {}
-        betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs, failed)
-        accepted += accepts
-        if failed:
-            for j, exc in failed.items():
-                k, i = members[j]
-                if isinstance(exc, MsprobitError):
-                    exc = _with_prefix(exc, f"chain {i}: sweep {m}: ")
-                errors[k][i] = exc
-            keep = [j for j in range(len(members)) if j not in failed]
-            members = [members[j] for j in keep]
-            if not members:
-                break
-            thresholds = np.concatenate([thresholds[kernel.threshold_slices[j]] for j in keep])
-            accepted = np.concatenate([accepted[kernel.scale_slices[j]] for j in keep])
-            betas = [betas[j] for j in keep]
-            rngs = [rngs[j] for j in keep]
-            kernel = _GibbsKernel([kernel.fits[j] for j in keep])
-            sds = kernel.proposal_sds()
-        if m > burn_in and (m - burn_in) % thinning == 0:
-            row = (m - burn_in) // thinning - 1
-            for (k, i), beta, sl in zip(members, betas, kernel.threshold_slices):
-                beta_draws, threshold_draws = store[k]
-                beta_draws[i * stored + row] = beta
-                threshold_draws[i * stored + row] = thresholds[sl]
-
-    counts = [0] * len(fits)  # per fit: accepts per scale, over its chains
-    for j, (k, _) in enumerate(members):
-        counts[k] = counts[k] + accepted[kernel.scale_slices[j]]
     results = []
     for k, (dataset, config) in enumerate(fits):
         if errors[k]:
             results.append(errors[k][min(errors[k])])
             continue
-        beta_draws, threshold_draws = store[k]
+        beta_draws, threshold_draws, accepted = store[k]
         results.append(
             DrawSet(
                 beta_draws=beta_draws,
@@ -545,13 +467,47 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
                 iteration_ids=np.tile(
                     burn_in + thinning * np.arange(1, stored + 1), config.num_chains
                 ),
-                accept_counts={
-                    s.scale_id: int(c) for s, c in zip(dataset.scales, counts[k])
-                },
+                accept_counts={s.scale_id: int(c) for s, c in zip(dataset.scales, accepted)},
                 proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
             )
         )
     return results
+
+
+def _run_batch(members: list, schedule: tuple, store: list, errors: list):
+    """Run run_fits' members (chains) as one batch from their start states,
+    writing their draws into their fits' stores as they go, and add their
+    accept counts once the batch finishes. A batch that raises is run again
+    in halves; the error of a lone chain goes into errors."""
+    burn_in, thinning, stored = schedule
+    fit_ids, chain_ids, member_fits, betas, thresholds, seeds = zip(*members)
+    kernel = _GibbsKernel(list(member_fits))
+    thresholds = np.concatenate(thresholds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sds = kernel.proposal_sds()
+    accepted = np.zeros(len(sds), dtype=int)  # per member-scale
+    for m in range(1, burn_in + thinning * stored + 1):
+        try:
+            betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs)
+        except (MsprobitError, ValueError) as exc:
+            if len(members) == 1:
+                if isinstance(exc, MsprobitError):
+                    exc = _with_prefix(exc, f"chain {chain_ids[0]}: sweep {m}: ")
+                errors[fit_ids[0]][chain_ids[0]] = exc
+                return
+            half = len(members) // 2
+            _run_batch(members[:half], schedule, store, errors)
+            _run_batch(members[half:], schedule, store, errors)
+            return
+        accepted += accepts
+        if m > burn_in and (m - burn_in) % thinning == 0:
+            row = (m - burn_in) // thinning - 1
+            for k, i, beta, own in zip(fit_ids, chain_ids, betas, kernel.threshold_slices):
+                beta_draws, threshold_draws, _ = store[k]
+                beta_draws[i * stored + row] = beta
+                threshold_draws[i * stored + row] = thresholds[own]
+    for k, own in zip(fit_ids, kernel.scale_slices):
+        store[k][2][:] += accepted[own]
 
 
 def run_chains(dataset: Dataset, config: ChainConfig) -> DrawSet:

@@ -302,23 +302,26 @@ def test_truncated_normal_draw_is_deterministic():
 
 
 def test_blocks_draw_as_their_lone_calls():
-    # three blocks with their own streams: the middle one is degenerate at
-    # its element 1, the last one redraws a far-tail element
+    # three blocks with their own streams: the last one redraws a far-tail
+    # element
     means = np.zeros(7)
-    lowers = np.array([-1.0, 0.0, -1.0, 40.0, 40.0, 0.0, 8.0])
+    lowers = np.array([-1.0, 0.0, -1.0, 0.5, 2.0, 0.0, 8.0])
     uppers = lowers + 1.0
     rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
-    draws, errors = sample_truncated_normal_many(means, 1.0, lowers, uppers, rngs, [2, 3, 2])
-    assert list(errors) == [1]
-    assert str(errors[1]).startswith("interval probability mass underflow at index 1:")
-    assert str(errors[1]).endswith("; 2 elements affected in total")
-    assert np.all(np.isnan(draws[2:5]))
-    # the failed block took nothing from its stream
-    assert rngs[1].bit_generator.state == np.random.default_rng(2).bit_generator.state
-    for g, seed, block in ((rngs[0], 1, slice(0, 2)), (rngs[2], 3, slice(5, 7))):
+    draws = sample_truncated_normal_many(means, 1.0, lowers, uppers, rngs, [2, 3, 2])
+    blocks = (slice(0, 2), slice(2, 5), slice(5, 7))
+    for g, seed, block in zip(rngs, (1, 2, 3), blocks):
         lone = np.random.default_rng(seed)
         want = sample_truncated_normal_many(
             means[block], 1.0, lowers[block], uppers[block], lone
         )
         np.testing.assert_array_equal(draws[block], want)
         assert g.bit_generator.state == lone.bit_generator.state
+    # a degenerate middle block makes the whole call raise before it
+    # touches any stream
+    lowers[3:5] = 40.0
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    with pytest.raises(DegeneracyError, match="index 3"):
+        sample_truncated_normal_many(means, 1.0, lowers, lowers + 1.0, rngs, [2, 3, 2])
+    for g, seed in zip(rngs, (1, 2, 3)):
+        assert g.bit_generator.state == np.random.default_rng(seed).bit_generator.state

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from scipy.stats import norm
 
 from msprobit import io
 from msprobit.cli import main
-from msprobit.errors import ConfigError, DatasetValidationError
+from msprobit.errors import ConfigError, DatasetValidationError, MsprobitError
 from msprobit.model import ChainConfig, ScaleSpec
 from msprobit.presets import preset
 from msprobit.sampler import MAX_STORED_VALUES, check_draw_store, run_chains
+from msprobit.simulate import _fit_seed, simulate_dataset
 from tests.files import read_table, read_truth
 
 
@@ -618,6 +620,31 @@ def test_cli_fit_rejects_asymmetric_prior_precision(sim_dir, tmp_path, capsys):
     )
 
 
+def test_cli_fit_rejects_a_proposal_sd_whose_square_overflows(sim_dir, tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "fit.json", {**FIT_CONFIG, "proposal_sd": {"1": 0.8, "2": 1e200}}
+    )
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--config", config,
+         "--out", str(tmp_path / "o")],
+        "proposal_sd for scale 2 must be > 0 and its square positive and finite, got 1e+200",
+    )
+
+
+def test_cli_fit_rejects_a_declared_scale_without_rows(sim_dir, tmp_path, capsys):
+    sidecar = json.loads((sim_dir / "dataset.scales.json").read_text())
+    sidecar["scales"]["3"] = 3
+    side = tmp_path / "more.scales.json"
+    side.write_text(json.dumps(sidecar))
+    _fails_with_one_line(
+        capsys,
+        ["fit", str(sim_dir / "dataset.csv"), "--scales", str(side),
+         "--out", str(tmp_path / "o")],
+        "scale 3 has empty classes [1, 2, 3]; every class needs at least one observation",
+    )
+
+
 def test_cli_fit_with_three_draws_writes_null_mcse(sim_dir, tmp_path):
     dataset = str(sim_dir / "dataset.csv")
     out = tmp_path / "fit"
@@ -689,6 +716,34 @@ def test_cli_simulate_broadcasts_one_threshold_count(tmp_path):
     assert [s.num_classes for s in ds.scales] == [4, 4]
 
 
+def test_cli_experiment_census_gives_each_failed_fits_lone_error(tmp_path):
+    # a prior that holds beta near 40 puts the multi-scale fit's latent
+    # intervals far below 1e-300, in both chains, at the first sweep
+    doc = {
+        "num_scales": 2, "obs_per_scale": 30, "num_features": 3, "num_thresholds": [1, 3],
+        "replications": 3, "seed": 2, "num_chains": 2,
+        "chain": {"burn_in": 50, "thinning": 1, "stored_draws": 40,
+                  "prior": {"mean": 40.0, "precision": 10000.0}},
+    }
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", _write_json(tmp_path / "exp.json", doc),
+                 "--out", str(out)]) == 0
+    failures = json.loads((out / "experiment_failures.json").read_text())
+    assert [(f["replication"], f["stage"]) for f in failures] == [
+        (r, "fit-multi") for r in (1, 2, 3)
+    ]
+    config = io.experiment_config_from_dict(doc)
+    for f in failures:
+        # the replication's multi fit, rebuilt as run_experiment seeds it
+        children = np.random.SeedSequence([config.seed, f["replication"]]).spawn(4)
+        sim = simulate_dataset(config.design, np.random.default_rng(children[0]))
+        (_, multi), *_ = sim.dataset.model_grid()
+        with pytest.raises(MsprobitError) as alone:
+            run_chains(multi, replace(config.chain_config, seed=_fit_seed(children[1])))
+        assert f["message"] == str(alone.value)
+        assert f["message"].startswith("chain 0: sweep 1: interval probability mass underflow")
+
+
 def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):
     config = _write_json(
         tmp_path / "exp.json",
@@ -709,6 +764,15 @@ def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):
         (
             {"chain": {**FIT_CONFIG, "proposal_sd": -1}},
             "proposal_sd for scale 1 must be > 0",
+        ),
+        # proposal variances of inf and 0
+        (
+            {"chain": {**FIT_CONFIG, "proposal_sd": 1e200}},
+            "proposal_sd for scale 1 must be > 0 and its square positive and finite",
+        ),
+        (
+            {"chain": {**FIT_CONFIG, "proposal_sd": 1e-200}},
+            "proposal_sd for scale 1 must be > 0 and its square positive and finite",
         ),
     ],
 )

@@ -20,7 +20,6 @@ from msprobit.metrics import (
     fit_standardizer,
     harmonic_mean,
     kendall_tau_b_columns,
-    latent_scores,
     _stratified_split,
 )
 from msprobit.model import ChainConfig, Dataset, ScaleSpec
@@ -240,7 +239,7 @@ def test_predict_class_probs_ambiguous_scale_needs_index():
     scales = (ScaleSpec(1, 2), ScaleSpec(2, 2))
     draws = _drawset_from([[0.0]], [[0.0, 1.0]], scales)
     X = np.array([[0.0]])
-    scores = latent_scores(draws.beta_draws, X)
+    scores = X @ draws.beta_draws.T
     first = class_probabilities(scores, draws.gamma_draws_for(1))
     second = class_probabilities(scores, draws.gamma_draws_for(2))
     assert first[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
@@ -270,7 +269,7 @@ def test_classify_draws_matches_pointwise():
     gammas = np.sort(g.normal(size=(m, 3)), axis=1)
     betas = g.normal(size=(m, 2))
     X = g.normal(size=(15, 2))
-    scores = latent_scores(betas, X)
+    scores = X @ betas.T
     mat = classify_draws(scores, gammas)
     probs = class_probabilities(scores, gammas)
     for i in range(15):
@@ -284,7 +283,7 @@ def test_classify_draws_matches_pointwise():
 def test_rank_score_is_posterior_mean_score():
     betas = np.array([[1.0, 0.0], [3.0, 0.0]])
     x = np.array([[2.0, 5.0]])
-    scores = latent_scores(betas, x)
+    scores = x @ betas.T
     np.testing.assert_allclose(scores, [[2.0, 6.0]])
     assert scores.mean(axis=1)[0] == pytest.approx(4.0, rel=1e-15)
 

@@ -454,9 +454,9 @@ def sweeps(monkeypatch):
     seen = []
     sweep = sampler._GibbsKernel.sweep
 
-    def recording(self, betas, thresholds, sds, rngs, failed=None):
+    def recording(self, betas, thresholds, sds, rngs):
         seen.append(list(rngs))
-        return sweep(self, betas, thresholds, sds, rngs, failed)
+        return sweep(self, betas, thresholds, sds, rngs)
 
     monkeypatch.setattr(sampler._GibbsKernel, "sweep", recording)
     return seen
@@ -500,17 +500,21 @@ def test_batch_draws_are_each_fits_lone_draws(monkeypatch, sweeps):
     assert start == len(batch_rngs)
 
 
-def _inject_panics(monkeypatch, seen, faults):
-    """Make the chain at batch position j fail at sweep m for every (j, m)
-    in faults, recorded in the sweep as a block records a sampler error."""
+def _inject_panics(monkeypatch, faults):
+    """Make a sweep raise when it is sweep m of the chain drawing from
+    SeedSequence(seed) child i, for every (seed, i, m) in faults. A chain is
+    known by its SeedSequence and counts its own sweeps, since every run of
+    a batch makes new generators."""
     sweep = sampler._GibbsKernel.sweep
+    counts = {}  # generator -> sweeps it took part in
 
-    def failing(self, betas, thresholds, sds, rngs, failed=None):
-        out = sweep(self, betas, thresholds, sds, rngs, failed)
-        for j, g in enumerate(rngs):
-            first = next(i for i, h in enumerate(seen[0]) if h is g)
-            if (first, len(seen)) in faults:
-                failed.setdefault(j, SamplerPanicError("injected panic"))
+    def failing(self, betas, thresholds, sds, rngs):
+        out = sweep(self, betas, thresholds, sds, rngs)
+        for g in rngs:
+            counts[g] = counts.get(g, 0) + 1
+            seq = g.bit_generator.seed_seq
+            if (seq.entropy, *seq.spawn_key, counts[g]) in faults:
+                raise SamplerPanicError("injected panic")
         return out
 
     monkeypatch.setattr(sampler._GibbsKernel, "sweep", failing)
@@ -522,8 +526,9 @@ def test_failed_chains_leave_the_rest_of_the_batch_as_run_alone(monkeypatch, swe
     fits.append((_tail_dataset(), ChainConfig(**_SCHEDULE, prior=Prior(mean=40.0, precision=1e4))))
     alone = [sampler.run_fits([fit])[0] for fit in fits]
     assert isinstance(alone[4], DegeneracyError)
-    # batch positions: fit 0 chains 0 and 1, then fits 1, 2, 3 and 4
-    _inject_panics(monkeypatch, sweeps, {(1, 5), (0, 30), (3, 3)})
+    # fit 0 (seed 1) chain 1 at sweep 5 and chain 0 at sweep 30, fit 2
+    # (seed 3) chain 0 at sweep 3
+    _inject_panics(monkeypatch, {(1, 1, 5), (1, 0, 30), (3, 0, 3)})
     batch, _ = run_fits_seen(fits, sweeps)
 
     # the lowest failed chain names the fit's error, not the earliest one
