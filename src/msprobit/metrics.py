@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, StratificationError
 from .model import ChainConfig, Dataset, ScaleSpec, missing_classes
-from .sampler import DrawSet, run_fits
+from .sampler import DrawSet, initial_state, run_in_chunks
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
 
@@ -253,7 +253,7 @@ def _stratified_split(
 ):
     """Random train/test split whose training side covers every
     (scale, class) cell, retried up to 100 times. Every cell must hold a
-    row of the full dataset; evaluate_splits checks that once."""
+    row of the full dataset; evaluate_splits checks that first."""
     n = dataset.num_obs
     train_size = int(round(split_fraction * n))
     train_size = min(max(train_size, 1), n - 1)
@@ -288,44 +288,47 @@ def evaluate_splits(
     both in-sample and out-of-sample per draw. With standardize=True the
     feature transform is computed from training rows only and applied to
     both sides.
+
+    The dataset is checked first as a fit checks it, so a class no row
+    takes is the fit's error. Every split's partition and fit seeds are
+    then drawn from rng, split by split; the fits never touch rng. The
+    splits' grids run in chunks (sampler.run_in_chunks), all the grids of a
+    chunk in one lockstep batch, each fit drawing what its lone run draws;
+    the first failed fit in split order is raised.
     """
     if not 0.0 < float(split_fraction) < 1.0:
         raise ConfigError(f"split_fraction must be in (0,1), got {split_fraction}")
     if int(num_splits) < 1:
         raise ConfigError(f"num_splits must be >= 1, got {num_splits}")
+    initial_state(dataset, chain_config)
 
-    # a cell empty in the full data can never be covered; name it up front
-    for s in dataset.scales:
-        missing = missing_classes(
-            dataset.labels[dataset.rows_for_scale(s.scale_id)], s.num_classes
-        )
-        if missing:
-            raise StratificationError(
-                f"scale {s.scale_id} class(es) {missing} absent from the "
-                "dataset; no training split can cover them"
-            )
+    splits = []
+    for _ in range(int(num_splits)):
+        train_rows, test_rows = _stratified_split(dataset, split_fraction, rng)
+        seeds = [int(rng.integers(2**63)) for _ in range(1 + len(dataset.scales))]
+        splits.append((train_rows, test_rows, seeds))
+
+    def split_fits():
+        for split_id, (train_rows, test_rows, seeds) in enumerate(splits, start=1):
+            train = dataset.subset(train_rows)
+            test = dataset.subset(test_rows)
+            if standardize:
+                mean, sd = fit_standardizer(train.features)
+                train = replace(train, features=(train.features - mean) / sd)
+                test = replace(test, features=(test.features - mean) / sd)
+            yield (split_id, train, test), [
+                (data, replace(chain_config, seed=seed))
+                for (_, data), seed in zip(train.model_grid(), seeds)
+            ]
 
     long_rows: list[tuple] = []
     diff_rows: list[tuple] = []
 
-    for split_id in range(1, int(num_splits) + 1):
-        train_rows, test_rows = _stratified_split(dataset, split_fraction, rng)
-        train = dataset.subset(train_rows)
-        test = dataset.subset(test_rows)
-        if standardize:
-            mean, sd = fit_standardizer(train.features)
-            train = replace(train, features=(train.features - mean) / sd)
-            test = replace(test, features=(test.features - mean) / sd)
-
-        # every fit of the grid runs in one batch
-        fits = [
-            (data, replace(chain_config, seed=int(rng.integers(2**63))))
-            for _, data in train.model_grid()
-        ]
-        multi, *singles = results = run_fits(fits)
+    for (split_id, train, test), results in run_in_chunks(split_fits()):
         for result in results:
             if isinstance(result, Exception):
                 raise result
+        multi, *singles = results
 
         for s, single in zip(dataset.scales, singles):
             headline: dict[tuple[str, str], dict[str, np.ndarray]] = {}

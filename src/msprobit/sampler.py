@@ -22,7 +22,10 @@ each vector call above serves the whole batch, while each chain keeps its
 own generator and draws the values it would draw alone. A block raises
 the first error it finds in any chain of the batch; run_fits then runs
 the batch again in halves, down to lone chains, so every error names its
-chain and reads as that chain's lone run gives it.
+chain and reads as that chain's lone run gives it. run_in_chunks steps
+many jobs' fits (the model grids of an experiment's replications or of
+evaluate's splits) in chunks of consecutive jobs, one run_fits batch per
+chunk, with at most CHUNK_ROWS member-rows in a chunk of several jobs.
 """
 
 from __future__ import annotations
@@ -508,6 +511,47 @@ def _run_batch(members: list, schedule: tuple, store: list, errors: list):
                 threshold_draws[i * stored + row] = thresholds[own]
     for k, own in zip(fit_ids, kernel.scale_slices):
         store[k][2][:] += accepted[own]
+
+
+# The most member-rows, num_obs x num_chains summed over its fits, that one
+# run_fits batch of run_in_chunks holds. A batch's sweep cost is mostly
+# per-call overhead while it is small, and grows with its rows once large;
+# BENCH_16.json has the measurement behind the value.
+CHUNK_ROWS = 8_000
+
+
+def run_in_chunks(jobs):
+    """Run the fits of consecutive jobs in lockstep chunks and yield each
+    job's (key, results) in job order.
+
+    jobs is an iterable of (key, fits) pairs, fits a list of (dataset,
+    config) fits of one schedule (possibly empty); results is run_fits' list
+    for them. A chunk takes consecutive jobs while their member-rows stay
+    within CHUNK_ROWS, and always at least one, so no job's fits are split,
+    and runs all their fits as one run_fits call; each fit's draws are those
+    of its lone run. jobs is read lazily, at most one job past the chunk
+    that runs, and a chunk's jobs and results are released before more jobs
+    are read, so memory is bounded per chunk.
+    """
+    chunk, rows = [], 0
+    for key, fits in jobs:
+        size = sum(dataset.num_obs * config.num_chains for dataset, config in fits)
+        if chunk and rows + size > CHUNK_ROWS:
+            yield from _run_chunk(chunk)
+            chunk, rows = [], 0
+        chunk.append((key, fits))
+        rows += size
+    if chunk:
+        yield from _run_chunk(chunk)
+
+
+def _run_chunk(chunk: list):
+    """Run a chunk's fits as one run_fits batch; yield each job's (key,
+    results)."""
+    every_fit = [fit for _, fits in chunk for fit in fits]
+    results = iter(run_fits(every_fit) if every_fit else ())
+    for key, fits in chunk:
+        yield key, [next(results) for _ in fits]
 
 
 def run_chains(dataset: Dataset, config: ChainConfig) -> DrawSet:

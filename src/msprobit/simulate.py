@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MsprobitError, SimulationError
 from .model import ChainConfig, Dataset, ScaleSpec
-from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_fits
+from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_in_chunks
 
 _MAX_REDRAWS = 10_000
 _THRESHOLD_VARIANCE = 5.0
@@ -245,34 +245,50 @@ def _fit_seed(child: np.random.SeedSequence) -> int:
     return int(child.generate_state(1, np.uint64)[0])
 
 
+def _replication_fits(config: ExperimentConfig):
+    """(key, fits) of every replication in order, for run_in_chunks: key is
+    (r, the SimTruth or the error simulating it, the model names), fits the
+    model grid with each fit's seed, or no fits if the simulation failed."""
+    for r in range(1, config.replications + 1):
+        children = np.random.SeedSequence([config.seed, r]).spawn(
+            2 + config.design.num_scales
+        )
+        try:
+            sim = simulate_dataset(config.design, np.random.default_rng(children[0]))
+        except MsprobitError as exc:
+            yield (r, exc, []), []
+            continue
+        grid = sim.dataset.model_grid()
+        yield (r, sim, [name for name, _ in grid]), [
+            (data, replace(config.chain_config, seed=_fit_seed(child)))
+            for (_, data), child in zip(grid, children[1:])
+        ]
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentReport:
     """Simulate/fit/score `replications` times and collect RMSE comparisons.
 
     Per replication: one multi-scale fit on the pooled data and one
     single-scale fit per scale on that scale's data, all against the same
-    simulation truth. A failed replication is recorded in the failure
-    census and skipped; its rows are absent from the report.
+    simulation truth. The replications run in chunks (sampler.run_in_chunks):
+    all the grids of a chunk's replications step in one lockstep batch, each
+    fit drawing what its lone run draws, and a chunk's data and draws are
+    dropped once it is scored. Replications are scored, reported to
+    progress and appended in order. A failed replication is recorded in the
+    failure census and skipped; its rows are absent from the report.
     """
     summary_rows: list[tuple] = []
     ratio_rows: list[tuple] = []
     draw_rows: list[tuple] = []
     failures: list[ReplicationFailure] = []
 
-    for r in range(1, config.replications + 1):
-        children = np.random.SeedSequence([config.seed, r]).spawn(
-            2 + config.design.num_scales
-        )
+    for (r, sim, names), results in run_in_chunks(_replication_fits(config)):
         stage = "simulate"
         try:
-            sim = simulate_dataset(config.design, np.random.default_rng(children[0]))
-            grid = sim.dataset.model_grid()
-            # every fit of the grid runs in one batch
-            results = run_fits([
-                (data, replace(config.chain_config, seed=_fit_seed(child)))
-                for (_, data), child in zip(grid, children[1:])
-            ])
+            if isinstance(sim, Exception):
+                raise sim
             fits: dict[str, DrawSet] = {}
-            for (name, _), result in zip(grid, results):
+            for name, result in zip(names, results):
                 stage = f"fit-{name}"
                 if isinstance(result, Exception):
                     raise result

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msprobit import sampler
 from msprobit.model import Dataset, ScaleSpec
 
 
@@ -32,3 +33,17 @@ def make_two_scale_dataset(seed=3, n_per=45, p=3):
 @pytest.fixture
 def two_scale_dataset():
     return make_two_scale_dataset()[0]
+
+
+def count_kernel_builds(monkeypatch) -> list:
+    """Patch _GibbsKernel.__init__ to append each build's member count to
+    the returned list."""
+    builds = []
+    real_init = sampler._GibbsKernel.__init__
+
+    def init(self, fits):
+        builds.append(len(fits))
+        real_init(self, fits)
+
+    monkeypatch.setattr(sampler._GibbsKernel, "__init__", init)
+    return builds

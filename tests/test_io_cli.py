@@ -645,6 +645,22 @@ def test_cli_fit_rejects_a_declared_scale_without_rows(sim_dir, tmp_path, capsys
     )
 
 
+def test_cli_fit_and_evaluate_give_a_scale_without_rows_one_error(sim_dir, tmp_path, capsys):
+    sidecar = json.loads((sim_dir / "dataset.scales.json").read_text())
+    sidecar["scales"]["4"] = 3
+    side = _write_json(tmp_path / "more.scales.json", sidecar)
+    errors = []
+    for command in ("fit", "evaluate"):
+        capsys.readouterr()
+        assert main([command, str(sim_dir / "dataset.csv"), "--scales", side,
+                     "--out", str(tmp_path / command)]) == 1, command
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: scale 4 has empty classes [1, 2, 3]; every class needs at least "
+        "one observation\n"
+    )
+
+
 def test_cli_fit_with_three_draws_writes_null_mcse(sim_dir, tmp_path):
     dataset = str(sim_dir / "dataset.csv")
     out = tmp_path / "fit"
@@ -953,7 +969,7 @@ def _with_class_count(sim_dir, tmp_path, count):
 
 @pytest.mark.parametrize(
     "command, count, code",
-    [("fit", 10**6, 1), ("fit", 10**12, 1), ("evaluate", 10**6, 2)],
+    [("fit", 10**6, 1), ("fit", 10**12, 1), ("evaluate", 10**6, 1)],
 )
 def test_cli_names_a_few_of_many_empty_classes(
     sim_dir, tmp_path, capsys, command, count, code
@@ -983,7 +999,7 @@ def test_cli_evaluate_rejects_a_trillion_classes_quickly(sim_dir, tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
-    assert done.returncode == 2, done.stderr
+    assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert len(done.stderr) < 300, done.stderr
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from msprobit.errors import StratificationError
+from msprobit import sampler
+from msprobit.errors import InitializationError
 from msprobit.metrics import (
     class_probabilities,
     classify_draws,
@@ -24,7 +25,7 @@ from msprobit.metrics import (
 )
 from msprobit.model import ChainConfig, Dataset, ScaleSpec
 from msprobit.sampler import DrawSet
-from tests.conftest import make_two_scale_dataset
+from tests.conftest import count_kernel_builds, make_two_scale_dataset
 
 
 def oracle_f1(pred, actual, num_classes):
@@ -332,6 +333,30 @@ def test_evaluate_splits_deterministic():
     assert a.long_rows == b.long_rows
 
 
+@pytest.mark.parametrize("budget, kernels", [(1, 3), (224, 2), (10**9, 1)])
+def test_evaluate_splits_chunks_change_nothing_but_the_kernel_builds(
+    monkeypatch, budget, kernels
+):
+    # each split's grid is 112 member-rows (56 training rows, fitted by the
+    # multi-scale model and by one single-scale model), so a budget of 1
+    # puts one split in a chunk, 224 two, and 10**9 all three
+    ds, _ = make_two_scale_dataset(seed=31, n_per=42)
+
+    def run(chunk_rows):
+        monkeypatch.setattr(sampler, "CHUNK_ROWS", chunk_rows)
+        return evaluate_splits(
+            ds, 2 / 3, 3, _eval_config(), np.random.default_rng(8), standardize=True
+        )
+
+    reference = run(10**9)
+    builds = count_kernel_builds(monkeypatch)
+    report = run(budget)
+    # repr is exact for floats and equal for NaN
+    assert repr(report.long_rows) == repr(reference.long_rows)
+    assert repr(report.diff_rows) == repr(reference.diff_rows)
+    assert len(builds) == kernels
+
+
 def test_evaluate_splits_missing_class_names_culprit():
     ds = Dataset(
         features=np.random.default_rng(1).normal(size=(30, 2)),
@@ -339,7 +364,8 @@ def test_evaluate_splits_missing_class_names_culprit():
         scale_ids=np.ones(30, dtype=int),
         scales=(ScaleSpec(1, 3),),
     )
-    with pytest.raises(StratificationError, match=r"class\(es\) \[3\]"):
+    # the fit's own check names it, before any split is drawn
+    with pytest.raises(InitializationError, match=r"scale 1 has empty classes \[3\]"):
         evaluate_splits(ds, 0.5, 1, _eval_config(), np.random.default_rng(0))
 
 

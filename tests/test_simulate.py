@@ -16,6 +16,7 @@ from msprobit.simulate import (
     run_experiment,
     simulate_dataset,
 )
+from tests.conftest import count_kernel_builds
 
 
 def test_simulated_shapes_and_invariants(rng):
@@ -236,3 +237,49 @@ def test_experiment_failure_census_names_the_failed_fit(monkeypatch, failing):
     ]
     assert report.completed_replications == 0
     assert report.summary_rows == report.ratio_rows == report.draw_rows == []
+
+
+@pytest.mark.parametrize("budget, kernels", [(1, 4), (480, 2), (10**9, 1)])
+def test_experiment_chunks_change_nothing_but_the_kernel_builds(
+    monkeypatch, budget, kernels
+):
+    # 5 replications of 240 member-rows each: with a budget of 1 every chunk
+    # holds one replication, with 480 two (the chunk that reaches the failed
+    # simulation holds it as well), and with 10**9 all of them
+    monkeypatch.setattr(sim_mod, "_MAX_REDRAWS", 2)  # replication 4 fails to simulate
+    real_initial_state = sampler.initial_state
+    single_2_set_ups = []
+
+    def initial_state(dataset, config):
+        if [s.scale_id for s in dataset.scales] == [2]:
+            single_2_set_ups.append(dataset)
+            if len(single_2_set_ups) == 2:  # replication 2's, at any budget
+                raise SamplerPanicError("injected failure")
+        return real_initial_state(dataset, config)
+
+    def run(chunk_rows):
+        monkeypatch.setattr(sampler, "CHUNK_ROWS", chunk_rows)
+        single_2_set_ups.clear()
+        calls = []
+        report = run_experiment(
+            _tiny_experiment(replications=5, seed=2),
+            progress=lambda r, total: calls.append((r, total)),
+        )
+        return report, calls
+
+    monkeypatch.setattr(sampler, "initial_state", initial_state)
+    reference, reference_calls = run(10**9)
+    builds = count_kernel_builds(monkeypatch)
+    report, calls = run(budget)
+
+    assert [(f.replication, f.stage) for f in report.failures] == [
+        (2, "fit-single-2"), (4, "simulate")
+    ]
+    assert report.failures == reference.failures
+    assert _rows_equal(report.summary_rows, reference.summary_rows)
+    assert _rows_equal(report.ratio_rows, reference.ratio_rows)
+    assert _rows_equal(report.draw_rows, reference.draw_rows)
+    assert calls == reference_calls == [(1, 5), (3, 5), (5, 5)]
+    # one kernel per chunk that has fits, not one per replication
+    assert len(builds) == kernels
+
