@@ -26,9 +26,9 @@ import numpy as np
 from . import io
 from .errors import ConfigError, MsprobitError
 from .metrics import (
-    class_probabilities,
     evaluate_splits,
     fit_standardizer,
+    posterior_class_probabilities,
 )
 from .model import Dataset
 from .presets import preset
@@ -210,10 +210,11 @@ def cmd_predict(args):
             )
         X = (X - mean) / sd
 
-    # the latent mean of every row under every draw, (n, M)
+    # the latent mean of every row under every draw, (n, M), as one product:
+    # a product of a few rows can round differently from the whole one
     scores = X @ draws.beta_draws.T
-    # posterior-averaged (n, C)
-    probs = class_probabilities(scores, draws.gamma_draws_for(target)).mean(axis=2)
+    # posterior-averaged (n, C), computed in row blocks
+    probs = posterior_class_probabilities(scores, draws.gamma_draws_for(target))
     map_class = np.argmax(probs, axis=1) + 1
     rank = scores.mean(axis=1)
     n = X.shape[0]

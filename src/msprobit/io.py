@@ -1,7 +1,10 @@
 """File formats: dataset CSV + scale sidecar, draw CSV, report CSVs, and
 JSON configs. All floating-point output uses 17 significant digits so a
-written value round-trips exactly; writes go through a temp file and a
-rename so readers never see a partial file.
+written value round-trips exactly. Writes stream line by line into a temp
+file that is then renamed over the target, so readers never see a partial
+file, and a write that fails partway removes the temp file and leaves the
+target as it was. The CSV reader parses into flat typed buffers, so a
+table is held once, as the arrays it returns.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import math
 import os
 import re
+from array import array
 from dataclasses import MISSING, fields, replace
 from typing import Iterable
 
@@ -33,11 +37,25 @@ def parse_float(s: str) -> float:
     return float("nan") if s == "" else float(s)
 
 
-def atomic_write_text(path: str, text: str):
+def atomic_write_lines(path: str, lines: Iterable[str]):
+    """Write the strings of lines as they come to <path>.tmp, then rename
+    it to path. If lines or the write raises, the temp file is removed and
+    path is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass  # the temp file was never made
+        raise
+
+
+def atomic_write_text(path: str, text: str):
+    atomic_write_lines(path, (text,))
 
 
 def write_json(path: str, doc):
@@ -114,19 +132,21 @@ def _read_numeric_csv(path: str, id_names: list[str], error):
         header = next(reader, None)
         if header is None or header[:2] != id_names:
             raise error(f"{path}: header must start with {','.join(id_names)}")
-        ids, values = [], []
+        ids, values = array("q"), array("d")  # row after row, flat
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise error(
                     f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                ids.append((np.int64(row[0]), np.int64(row[1])))
-                values.append([parse_float(v) for v in row[2:]])
+                ids.append(np.int64(row[0]))
+                ids.append(np.int64(row[1]))
+                values.extend(map(parse_float, row[2:]))
             except (ValueError, OverflowError) as exc:
                 raise error(f"{path} line {ln}: {exc}") from None
-    ids = np.array(ids, dtype=int).reshape(-1, 2)
-    values = np.array(values, dtype=float).reshape(len(values), len(header) - 2)
+    # views of the buffers, which they keep alive: no second copy
+    ids = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    values = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(header) - 2)
     return header, ids, values
 
 
@@ -248,12 +268,18 @@ def _format_cell(v) -> str:
     return format_float(v)
 
 
+def _table_lines(header: list[str], rows: Iterable[tuple]):
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_format_cell, row)) + "\n"
+
+
 def write_table(path: str, header: list[str], rows: Iterable[tuple]):
     """A CSV table: strings as they are, ints with str, floats with
-    format_float."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_format_cell, row)) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    format_float. Rows are formatted and written one at a time, so a
+    generator of rows is never held whole. If it or a cell's formatting
+    raises, <path>.tmp is removed and a file already at path is untouched."""
+    atomic_write_lines(path, _table_lines(header, rows))
 
 
 # -- configs ---------------------------------------------------------------

@@ -4,7 +4,9 @@ train/test split evaluation protocol.
 Metrics are computed per posterior draw, so every reported quantity is a
 distribution over draws rather than a single number; each metric is
 computed for all draws at once, from an (n, M) matrix of per-draw
-predictions or scores.
+predictions or scores. The per-draw class probabilities, (n, C, M), are
+only ever built in row blocks of at most BLOCK_VALUES values, which
+posterior_class_probabilities and classify_draws reduce as they go.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ def _nanmean(vec: np.ndarray) -> float:
     return float(finite.mean()) if finite.size else float("nan")
 
 
+# the most float64 values one row block of class probabilities holds: an
+# (n, C, M) tensor is built block by block, so memory stays at the (n, M)
+# scores plus one block whatever the row and class counts
+BLOCK_VALUES = 2**17
+
+
 def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
     """Class probabilities of every row under every draw, shape (n, C, M),
     from the (n, M) latent means X @ beta_draws.T and the (M, C - 1)
@@ -151,7 +159,9 @@ def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarr
 
     Under draw m class c gets the normal mass around scores[i, m] between
     thresholds c-1 and c of gamma_draws[m], with -inf and +inf closing the
-    ends, so each (i, :, m) sums to 1.
+    ends, so each (i, :, m) sums to 1. The callers below step it in row
+    blocks; every value is elementwise in its row, so a row's values do not
+    depend on the block it is computed in.
     """
     n, m = scores.shape
     num_classes = gamma_draws.shape[1] + 1
@@ -165,11 +175,37 @@ def class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarr
     return probs
 
 
+def _row_blocks(scores: np.ndarray, gamma_draws: np.ndarray):
+    """(rows, class_probabilities of those rows) for consecutive row slices
+    whose (rows, C, M) block holds at most BLOCK_VALUES values, and at
+    least one row."""
+    n, m = scores.shape
+    step = max(1, BLOCK_VALUES // ((gamma_draws.shape[1] + 1) * m))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        yield rows, class_probabilities(scores[rows], gamma_draws)
+
+
+def posterior_class_probabilities(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
+    """Class probabilities of every row averaged over the draws, shape
+    (n, C), from the (n, M) latent means and the (M, C - 1) threshold
+    draws. Each (row, class) mean reduces its own contiguous run of M
+    values, so the result is bit-identical to
+    class_probabilities(scores, gamma_draws).mean(axis=2)."""
+    probs = np.empty((scores.shape[0], gamma_draws.shape[1] + 1))
+    for rows, block in _row_blocks(scores, gamma_draws):
+        probs[rows] = block.mean(axis=2)
+    return probs
+
+
 def classify_draws(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
     """Most probable class of every row under every draw, from the (n, M)
     latent means, as an (n, M) matrix of 1-based labels; ties go to the
-    lower class."""
-    return np.argmax(class_probabilities(scores, gamma_draws), axis=1) + 1
+    lower class. Computed in row blocks of class_probabilities."""
+    pred = np.empty(scores.shape, dtype=np.intp)
+    for rows, block in _row_blocks(scores, gamma_draws):
+        pred[rows] = np.argmax(block, axis=1) + 1
+    return pred
 
 
 def fit_standardizer(X_train: np.ndarray):

@@ -426,8 +426,10 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
     chains it runs beside. A batch that raises is run again in halves,
     down to lone chains, so a failed fit's entry is the error of its
     lowest failed chain, "chain i: sweep m: " before the message of a
-    sampler error, or the error its set-up raised.
+    sampler error, or the error its set-up raised. No fits give [].
     """
+    if not fits:
+        return []
     schedules = {(c.burn_in, c.thinning, c.stored_draws) for _, c in fits}
     if len(schedules) != 1:
         raise ValueError(f"fits of one batch must share one schedule, got {sorted(schedules)}")
@@ -549,7 +551,7 @@ def _run_chunk(chunk: list):
     """Run a chunk's fits as one run_fits batch; yield each job's (key,
     results)."""
     every_fit = [fit for _, fits in chunk for fit in fits]
-    results = iter(run_fits(every_fit) if every_fit else ())
+    results = iter(run_fits(every_fit))
     for key, fits in chunk:
         yield key, [next(results) for _ in fits]
 

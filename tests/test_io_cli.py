@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from msprobit import io
+from msprobit import io, metrics
 from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError, MsprobitError
-from msprobit.model import ChainConfig, ScaleSpec
+from msprobit.model import ChainConfig, Dataset, ScaleSpec
 from msprobit.presets import preset
-from msprobit.sampler import MAX_STORED_VALUES, check_draw_store, run_chains
+from msprobit.sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_chains
 from msprobit.simulate import _fit_seed, simulate_dataset
 from tests.files import read_table, read_truth
 
@@ -165,6 +166,25 @@ def test_table_round_trip_with_nan(tmp_path):
     header, rows = read_table(path)
     assert header == ["a", "b"]
     assert rows[0][1] == "" and rows[1][1] == "0.5"
+
+
+def test_write_table_that_raises_partway_leaves_no_trace(tmp_path):
+    path = str(tmp_path / "t.csv")
+    io.write_table(path, ["a"], [(1,)])
+
+    def rows():
+        yield (2,)
+        raise RuntimeError("row 3 failed")
+
+    with pytest.raises(RuntimeError, match="row 3 failed"):
+        io.write_table(path, ["a"], rows())
+    with pytest.raises(TypeError):  # a cell that does not format
+        io.write_table(path, ["a"], [(2,), (object(),)])
+    with pytest.raises(RuntimeError, match="row 3 failed"):
+        io.write_table(str(tmp_path / "new.csv"), ["a"], rows())
+    # the old file is untouched, and no temp file or new file is left
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
 
 # -- command line ----------------------------------------------------------
@@ -329,6 +349,53 @@ def test_cli_evaluate_row_counts(sim_dir, tmp_path):
     # 2 splits x [2 models x 2 sides x (3 + C_s) metrics x 10 draws]
     assert len(long_rows) == 2 * (2 * 2 * 5 * 10 + 2 * 2 * 6 * 10)
     assert len(diff_rows) == 2 * 2 * 6
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 59])
+def test_cli_predict_row_blocks_change_no_byte(
+    sim_dir, draws_path, tmp_path, monkeypatch, rows_per_block
+):
+    # 60 rows, 10 draws and 3 classes on scale 2: blocks of 1 row, or of 59
+    # rows and a 1-row remainder, against one block of every row
+    def predict(block_values, out):
+        monkeypatch.setattr(metrics, "BLOCK_VALUES", block_values)
+        assert main(["predict", draws_path, str(sim_dir / "dataset.csv"),
+                     "--scale", "2", "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "predictions.csv").read_bytes()
+
+    assert predict(rows_per_block * 3 * 10, "blocks") == predict(10**9, "whole")
+
+
+def test_cli_predict_memory_is_the_scores_plus_one_block(tmp_path):
+    # 3,000 rows under 800 draws on a 4-class scale: the (n, C, M) class
+    # probabilities alone would take 77 MB, the (n, M) scores take 19 MB
+    n, m, p = 3000, 800, 3
+    g = np.random.default_rng(18)
+    scale = ScaleSpec(1, 4)
+    dataset = Dataset(features=g.normal(size=(n, p)), labels=1 + np.arange(n) % 4,
+                      scale_ids=np.ones(n, dtype=int), scales=(scale,))
+    draws = DrawSet(
+        beta_draws=g.normal(size=(m, p)),
+        threshold_draws=np.sort(g.normal(size=(m, 3)), axis=1),
+        scales=(scale,),
+        chain_ids=np.zeros(m, dtype=int),
+        iteration_ids=np.arange(1, m + 1),
+        accept_counts={1: 0},
+        proposal_counts={1: 0},
+    )
+    data = str(tmp_path / "dataset.csv")
+    io.write_dataset(data, str(tmp_path / "dataset.scales.json"), dataset)
+    io.write_draws(str(tmp_path / "draws.csv"), draws)
+
+    tracemalloc.start()
+    try:
+        code = main(["predict", str(tmp_path / "draws.csv"), data, "--scale", "1",
+                     "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * n * m * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_cli_exit_codes(tmp_path):

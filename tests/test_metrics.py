@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from msprobit import sampler
+from msprobit import metrics, sampler
 from msprobit.errors import InitializationError
 from msprobit.metrics import (
     class_probabilities,
@@ -21,6 +21,7 @@ from msprobit.metrics import (
     fit_standardizer,
     harmonic_mean,
     kendall_tau_b_columns,
+    posterior_class_probabilities,
     _stratified_split,
 )
 from msprobit.model import ChainConfig, Dataset, ScaleSpec
@@ -279,6 +280,34 @@ def test_classify_draws_matches_pointwise():
             want = np.diff(norm.cdf(edges - X[i] @ betas[d]))
             np.testing.assert_allclose(probs[i, :, d], want, rtol=1e-12, atol=1e-15)
             assert mat[i, d] == np.argmax(want) + 1
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 11, 23])
+def test_row_blocks_change_no_bit(monkeypatch, rows_per_block):
+    # 23 rows, 4 classes, 37 draws: blocks of 1 row, of 11 rows and a 1-row
+    # remainder, and of every row, against the whole (n, C, M) tensor
+    g = np.random.default_rng(78)
+    scores = g.normal(scale=2.0, size=(23, 37))
+    gammas = np.sort(g.normal(size=(37, 3)), axis=1)
+    whole = class_probabilities(scores, gammas)
+    monkeypatch.setattr(metrics, "BLOCK_VALUES", rows_per_block * 4 * 37)
+    assert np.array_equal(posterior_class_probabilities(scores, gammas), whole.mean(axis=2))
+    assert np.array_equal(classify_draws(scores, gammas), np.argmax(whole, axis=1) + 1)
+
+
+@pytest.mark.parametrize("block_values", [1, 135])
+def test_evaluate_splits_row_blocks_change_no_bit(monkeypatch, block_values):
+    # a scale's sides hold 28 and 14 rows under 15 draws. 135 values make
+    # blocks of 4 rows on the binary scale and of 3 on the 3-class one,
+    # whose 28-row side ends in a 1-row block; 10**9 puts a side in one block
+    ds, _ = make_two_scale_dataset(seed=31, n_per=42)
+
+    def run(values):
+        monkeypatch.setattr(metrics, "BLOCK_VALUES", values)
+        return evaluate_splits(ds, 2 / 3, 2, _eval_config(), np.random.default_rng(8))
+
+    # repr is exact for floats and equal for NaN
+    assert repr(run(block_values).long_rows) == repr(run(10**9).long_rows)
 
 
 def test_rank_score_is_posterior_mean_score():

@@ -550,6 +550,8 @@ def test_failed_chains_leave_the_rest_of_the_batch_as_run_alone(monkeypatch, swe
 
 
 def test_batch_fits_share_one_schedule(two_scale_dataset):
+    # no fits share every schedule: an empty batch runs nothing
+    assert sampler.run_fits([]) == []
     with pytest.raises(ValueError, match="schedule"):
         sampler.run_fits([
             (two_scale_dataset, ChainConfig(**_SCHEDULE)),
