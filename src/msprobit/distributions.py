@@ -45,12 +45,12 @@ def std_normal_quantile(p):
 
 
 def _reflect(a, b):
-    """The flip mask and the endpoints of (a, b) reflected onto the lower
-    tail when most of the interval lies above zero. ``a > -b`` is
-    ``a + b > 0`` without the nan of ``(-inf) + inf``: the whole line is
-    not flipped."""
-    flip = a > -b
-    return flip, np.where(flip, -b, a), np.where(flip, -a, b)
+    """The endpoints of (a, b), reflected to (-b, -a) onto the lower tail
+    where ``a > -b`` (``a + b > 0`` without the nan of ``(-inf) + inf``: the
+    whole line is not flipped): the smaller of a and -b and minus the
+    larger. An interval was flipped where its new lower end is not a."""
+    nb = -b
+    return np.minimum(a, nb), -np.maximum(a, nb)
 
 
 def log_interval_mass(lower, upper):
@@ -60,7 +60,7 @@ def log_interval_mass(lower, upper):
     difference is always taken between log-CDFs on the side where they are
     accurate; arguments with magnitude up to several hundred do not overflow.
     """
-    _, a, b = _reflect(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    a, b = _reflect(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_hi = log_ndtr(b)
         out = log_hi + np.log1p(-np.exp(log_ndtr(a) - log_hi))
@@ -112,7 +112,9 @@ def _tail_draw(a: float, b: float, rng: np.random.Generator) -> float:
     raise NumericalError(f"tail rejection sampler failed to accept on ({a}, {b})")
 
 
-def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=None):
+def sample_truncated_normal_many(
+    means, variance, lowers, uppers, rng, counts=None, uniforms=None, inner=None
+):
     """Draw element i from Normal(means[i], variance) restricted to
     (lowers[i], uppers[i]); variance is one value or one per element.
 
@@ -127,10 +129,17 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
     deterministic function of the stream.
 
     With counts, the elements are consecutive blocks of counts[j] elements
-    and rng is a sequence of one generator per block: one call serves many
-    independent streams, and block j takes from rng[j] exactly the values
-    a call with block j alone would take. Such a call raises as a lone
-    call does, an element named by its index in the whole call.
+    (a block may be empty) and rng is a sequence of one generator per
+    block: one call serves many independent streams, and block j takes
+    from rng[j] exactly the values a call with block j alone would take.
+    Such a call raises as a lone call does, an element named by its index
+    in the whole call.
+
+    uniforms, an array of one per element, replaces the call's first
+    draw, for a caller that draws it ahead from the same streams (the Gibbs
+    kernel draws a chain's uniforms for a sweep as one block); rng then
+    serves only the tail redraws. inner is (nextafter(lowers, inf),
+    nextafter(uppers, -inf)), the clamp bounds, if the caller has them.
     """
     means = np.asarray(means, dtype=float)
     variance = np.asarray(variance, dtype=float)
@@ -138,8 +147,11 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
     uppers = np.asarray(uppers, dtype=float)
     if counts is None:
         rng, counts = [rng], [np.broadcast(means, variance, lowers, uppers).size]
+    unit = variance.ndim == 0 and float(variance) == 1.0
     # one check covers a NaN bound too: lower < upper is then False
-    valid = np.isfinite(means) & (variance > 0.0) & (variance < np.inf) & (lowers < uppers)
+    valid = np.isfinite(means) & (lowers < uppers)
+    if not unit:
+        valid = valid & (variance > 0.0) & (variance < np.inf)
     if not valid.all():
         i = int(np.flatnonzero(~valid)[0])
         raise ValueError(
@@ -147,10 +159,12 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
             f"got Normal({_at(means, valid, i)}, {_at(variance, valid, i)}) on "
             f"({_at(lowers, valid, i)}, {_at(uppers, valid, i)}) at index {i}"
         )
-    sd = np.sqrt(variance)
-    a = (lowers - means) / sd
-    b = (uppers - means) / sd
-    flip, a2, b2 = _reflect(a, b)
+    # a unit sd divides and multiplies exactly, so it is left out
+    a, b = lowers - means, uppers - means
+    if not unit:
+        sd = np.sqrt(variance)
+        a, b = a / sd, b / sd
+    a2, b2 = _reflect(a, b)
     pa = ndtr(a2)
     mass = ndtr(b2) - pa
 
@@ -173,10 +187,12 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
         tail = low[lm < _LOG_INVERSE_CDF_CUTOFF]
 
     # rng.uniform(pa, pb) bit for bit: one stream value per element
-    u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
-    u = pa + mass * u.reshape(mass.shape)
-    z = ndtri(np.minimum(np.maximum(u, 5e-324), 1.0 - 1e-16))
-    z = np.where(flip, -z, z)
+    if uniforms is None:
+        uniforms = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
+    u = mass * uniforms.reshape(mass.shape)
+    u += pa
+    z = ndtri(np.minimum(np.maximum(u, 5e-324, out=u), 1.0 - 1e-16, out=u))
+    np.negative(z, out=z, where=a2 != a)  # the flipped intervals
     # Tail draws work in the original frame and overwrite the inverse-CDF
     # values in their slots, each from its block's generator.
     if tail.size:
@@ -184,9 +200,13 @@ def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=No
         for i, j in zip(tail.tolist(), blocks.tolist()):
             z[i] = _tail_draw(float(a[i]), float(b[i]), rng[j])
 
-    x = means + sd * z
-    x = np.maximum(x, np.nextafter(lowers, np.inf))
-    return np.minimum(x, np.nextafter(uppers, -np.inf))
+    if not unit:
+        z *= sd
+    z += means
+    if inner is None:
+        inner = (np.nextafter(lowers, np.inf), np.nextafter(uppers, -np.inf))
+    np.maximum(z, inner[0], out=z)
+    return np.minimum(z, inner[1], out=z)
 
 
 def _at(values, like, i):

@@ -18,8 +18,14 @@ Every truncated-normal draw goes through ``sample_truncated_normal_many``.
 
 One kernel steps a batch of chains, of one fit or of several, in
 lockstep: the flat layout holds the scales of every chain end to end, so
-each vector call above serves the whole batch, while each chain keeps its
-own generator and draws the values it would draw alone. A block raises
+each vector call above serves the whole batch, and each product with the
+features or inverse factors is one stacked matmul per feature shape.
+Each chain keeps its own generator and draws the values it would draw
+alone, in this order each sweep: one block of uniforms (its proposal
+values position by position, one accept uniform per scale, one per
+latent row), then the rejection redraws of intervals too thin for the
+inverse CDF (the proposals', then the latents'), then the normals of its
+coefficient draw. A block raises
 the first error it finds in any chain of the batch; run_fits then runs
 the batch again in halves, down to lone chains, so every error names its
 chain and reads as that chain's lone run gives it. run_in_chunks steps
@@ -31,7 +37,6 @@ chunk, with at most CHUNK_ROWS member-rows in a chunk of several jobs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -135,16 +140,42 @@ class _Fit:
                 "posterior precision factorization failed; prior precision "
                 "must be symmetric positive definite"
             ) from exc
-        # the posterior covariance is chol_inv.T @ chol_inv
-        self.chol_inv = solve_triangular(chol, np.eye(p), lower=True)
+        # the posterior covariance is chol_inv.T @ chol_inv; Fortran order,
+        # as solve_triangular gives it, so chol_inv.T is in C order
+        self.chol_inv = np.asfortranarray(solve_triangular(chol, np.eye(p), lower=True))
         self.lam_mu = prior_prec @ prior_mean
         self.proposal_sds = [config.proposal_sd_for(s.scale_id) for s in dataset.scales]
-        self.scale_rows = [dataset.rows_for_scale(s.scale_id) for s in dataset.scales]
+        # the position of each row's scale in dataset.scales
+        self.scale_index = np.empty(dataset.num_obs, dtype=np.intp)
+        for i, s in enumerate(dataset.scales):
+            self.scale_index[dataset.scale_ids == s.scale_id] = i
 
 
 def _slices(sizes: list[int]) -> list[slice]:
     """Consecutive slices of the given sizes, from 0."""
     return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _stacked(arrays: list, shared: bool) -> np.ndarray:
+    """C-ordered arrays of one shape on a new first axis, each slice in its
+    array's layout: a view if they are one array (shared), else a copy."""
+    if shared:
+        first = arrays[0][np.newaxis]
+        return first if len(arrays) == 1 else np.broadcast_to(first, (len(arrays),) + first.shape[1:])
+    return np.stack(arrays)
+
+
+def _block(owners: list, num_members: int) -> tuple:
+    """(sizes, order) of one uniform draw per member, given the owning
+    member of each value in the order the blocks take them: each member
+    draws its values in that order, and order indexes the members' draws
+    end to end in it (None for the identity)."""
+    owner = np.concatenate(owners)
+    if num_members == 1:
+        return [owner.size], None
+    order = np.empty_like(owner)
+    order[np.argsort(owner, kind="stable")] = np.arange(owner.size)
+    return np.bincount(owner, minlength=num_members).tolist(), order
 
 
 class _GibbsKernel:
@@ -158,15 +189,19 @@ class _GibbsKernel:
     list of betas plus the members' threshold vectors end to end. Every
     member-scale (one scale of one member) has its slots in one flat array
     of class edges, (-inf, thresholds, +inf), followed by the same layout
-    for a proposal, and each row of every member holds the index of its
-    lower and upper edge in it. A sweep is three blocks, each a method:
-    the thresholds, the latents, the coefficients. The threshold proposal
-    is drawn position by position into the proposal half, threshold c of
-    every member-scale in one call; the threshold move's ratios and the
-    latent draw are one call each for the whole batch. Each member draws
-    from its own generator, the values its lone chain would draw in the
-    same order, and keeps its own products with its features and inverse
-    factor, so its draws do not depend on the batch it runs in.
+    for a proposal, and each row holds the index of its lower and upper
+    edge in it. A sweep is three blocks, each a method: the thresholds, the
+    latents, the coefficients. The threshold proposal is drawn position by
+    position into the proposal half, threshold c of every member-scale in
+    one call; the threshold move's ratios and the latent draw are one call
+    each for the whole batch.
+
+    Members whose features have one shape form a group, with their rows
+    end to end (the batch's rows run group by group) and their features,
+    inverse factors and prior terms stacked: each product is one matmul per
+    group, slice by slice the member's own, and a lone chain is a group of
+    one. Each member draws from its own generator, in the module's stream
+    order, the values its lone chain would draw.
 
     A block that finds an error in any member raises it, as a lone chain's
     block would; run_fits reruns a failed batch in halves to find the
@@ -175,71 +210,116 @@ class _GibbsKernel:
 
     def __init__(self, fits: list[_Fit]):
         self.fits = fits
+        num_members = len(fits)
         scales = [s for f in fits for s in f.dataset.scales]
-        num_thresholds = [s.num_thresholds for s in scales]
         self._scales = scales
+        scale_counts = [len(f.dataset.scales) for f in fits]
+        # each member's slice of the member-scales and the flat thresholds
+        self.scale_slices = _slices(scale_counts)
+        num_thresholds = [s.num_thresholds for s in scales]
+        self.threshold_slices = _slices([sum(num_thresholds[own]) for own in self.scale_slices])
         # the member of every member-scale, and the member-scale of every
         # threshold of the flat state
-        scale_member = [j for j, f in enumerate(fits) for _ in f.dataset.scales]
-        self._threshold_scale = np.repeat(np.arange(len(scales)), num_thresholds)
+        scale_member = np.repeat(np.arange(num_members), scale_counts)
+        self._threshold_scale = k = np.repeat(np.arange(len(scales)), num_thresholds)
         # True between neighbouring thresholds of different member-scales
-        self._scale_breaks = np.diff(self._threshold_scale) != 0
-        # each member's slice of the rows, the flat thresholds and the
-        # member-scales
-        self._row_counts = [f.dataset.num_obs for f in fits]
-        self.row_slices = _slices(self._row_counts)
-        self.threshold_slices = _slices(
-            [sum(s.num_thresholds for s in f.dataset.scales) for f in fits]
-        )
-        self.scale_slices = _slices([len(f.dataset.scales) for f in fits])
+        self._scale_breaks = k[1:] != k[:-1]
+        self._threshold_bounds = np.array([0, *accumulate(num_thresholds)])
 
-        offsets = np.cumsum([0] + [s.num_classes + 1 for s in scales])
-        width = offsets[-1]
+        offsets = np.array([0, *accumulate(t + 2 for t in num_thresholds)])
+        self._width = width = int(offsets[-1])
         # the current edges fill [0, width), a proposal's [width, 2 * width)
         starts = offsets[:-1]
         self._edges = np.full(2 * width, np.inf)
-        self._edges[np.concatenate((starts, starts + width))] = _NEG_INF
-        self._threshold_pos = np.concatenate(
-            [np.arange(o + 1, o + s.num_classes) for o, s in zip(offsets, scales)]
-        )
+        self._edges[starts] = self._edges[starts + width] = _NEG_INF
+        position = np.arange(k.size) - self._threshold_bounds[k]  # c - 1
+        self._threshold_pos = tpos = starts[k] + position + 1
         # Proposal step c draws threshold c of every member-scale that has
-        # one, around its current edge, inside (proposed c-1, current c+1),
-        # one block of the call per member.
-        self._proposal_steps = []
-        for c in range(1, max(num_thresholds) + 1):
-            taking = [k for k, t in enumerate(num_thresholds) if t >= c]
-            blocks = Counter(scale_member[k] for k in taking)
-            current = starts[taking] + c
-            self._proposal_steps.append(
-                (current, current + width - 1, current + 1, current + width,
-                 np.array(taking), list(blocks), list(blocks.values()))
-            )
+        # one, inside (proposed c-1, current c+1): its values, in the order
+        # of the member-scales, and their count per member.
+        by_step = np.argsort(position, kind="stable")
+        self._step_pos = tpos[by_step]
+        self._step_scale = k[by_step]
+        step_owner = scale_member[self._step_scale]
+        step_sizes = np.bincount(position).tolist()
+        counts = np.bincount(
+            position[by_step] * num_members + step_owner, minlength=len(step_sizes) * num_members
+        ).reshape(-1, num_members)
+        self._steps = [
+            (step, self._step_pos[step] + width - 1, self._step_pos[step] + width, owned)
+            for step, owned in zip(_slices(step_sizes), counts.tolist())
+        ]
 
-        # rows of all members end to end; the threshold move takes them
+        # groups of members with one feature shape, and the rows of all
+        # members end to end, group by group
+        shapes = {}
+        for j, f in enumerate(fits):
+            shapes.setdefault(f.dataset.features.shape, []).append(j)
+        row_members = [j for members in shapes.values() for j in members]
+        self._row_members = row_members
+        self._row_counts = [fits[j].dataset.num_obs for j in row_members]
+        self.row_slices = [None] * num_members  # each member's rows
+        self._coef_slices = [None] * num_members  # each member's coefficients
+        self._groups = []
+        rows = cols = 0
+        for (n, p), members in shapes.items():
+            group = [fits[j] for j in members]
+            shared = all(f is group[0] for f in group)
+            for i, j in enumerate(members):
+                self.row_slices[j] = slice(rows + i * n, rows + (i + 1) * n)
+                self._coef_slices[j] = slice(cols + i * p, cols + (i + 1) * p)
+            end_rows, end_cols = rows + len(members) * n, cols + len(members) * p
+            self._groups.append((  # the factors' transposes are C ordered
+                _stacked([f.dataset.features for f in group], shared),
+                _stacked([f.chol_inv.T for f in group], shared),
+                _stacked([f.lam_mu for f in group], shared)[..., None],
+                members, slice(rows, end_rows), slice(cols, end_cols),
+            ))
+            rows, cols = end_rows, end_cols
+        self._num_coefs = cols
+
+        # the member-scale of every row; the threshold move takes the rows
         # grouped by member-scale, so that each member-scale's rows, like
         # its thresholds, are one contiguous slice
-        self._lower_pos = np.empty(self.row_slices[-1].stop, dtype=np.intp)
-        order = []
-        scale_offsets = iter(offsets)
-        for f, member_rows in zip(fits, self.row_slices):
-            for rows, o in zip(f.scale_rows, scale_offsets):
-                self._lower_pos[member_rows.start + rows] = o + f.dataset.labels[rows] - 1
-                order.append(member_rows.start + rows)
+        first_scale = [s.start for s in self.scale_slices]
+        row_scale = np.concatenate([first_scale[j] + fits[j].scale_index for j in row_members])
+        labels = np.concatenate([fits[j].dataset.labels for j in row_members])
+        self._lower_pos = starts[row_scale] + labels - 1
         self._upper_pos = self._lower_pos + 1
-        order = np.concatenate(order)
-        self._grouping = None if np.all(np.diff(order) > 0) else order
+        order = np.argsort(row_scale, kind="stable")
+        self._grouping = None if (row_scale[1:] >= row_scale[:-1]).all() else order
         both = np.array([[0], [width]])  # current, proposed
-        self._label_lower = self._lower_pos[order] + both
-        self._label_upper = self._label_lower + 1
-        tpos = self._threshold_pos
+        label_lower = self._lower_pos[order] + both
         self._threshold_slots = tpos + both
-        # threshold t is proposed inside (proposed t-1, current t+1) and
-        # would be drawn back inside (current t-1, proposed t+1)
-        self._below = tpos - 1 + both[::-1]
-        self._above = tpos + 1 + both
-        # where each member-scale's rows and thresholds start, and end
-        self._row_bounds = np.cumsum([0] + [rows.size for f in fits for rows in f.scale_rows])
-        self._threshold_bounds = np.cumsum([0] + num_thresholds)
+        # The move's log masses in one call: the labels' under current and
+        # proposed thresholds, then the forward and reverse normalizers of
+        # threshold t, proposed inside (proposed t-1, current t+1) and drawn
+        # back inside (current t-1, proposed t+1).
+        self._mass_ends = np.array((
+            np.concatenate((label_lower, tpos - 1 + both[::-1]), axis=1),
+            np.concatenate((label_lower + 1, tpos + 1 + both), axis=1),
+        ))
+        num_rows = row_scale.size
+        self._mass_loc = np.empty((2, num_rows + k.size))
+        self._mass_scale = np.ones(num_rows + k.size)
+        self._row_bounds = np.array([0, *accumulate(np.bincount(row_scale, minlength=len(scales)).tolist())])
+        self._mass_bounds = np.concatenate((self._row_bounds[:-1], num_rows + self._threshold_bounds[:-1]))
+
+        # the uniforms of a sweep, and of a block method called on its own:
+        # proposal values step by step, accept uniforms, latents by row
+        owners = (step_owner, scale_member, np.repeat(row_members, self._row_counts))
+        self._sweep_block = _block(owners, num_members)
+        self._threshold_block = _block(owners[:2], num_members)
+        self._latent_block = _block(owners[2:], num_members)
+        self._num_threshold_uniforms = k.size + len(scales)
+
+    @staticmethod
+    def _uniforms(rngs, block) -> np.ndarray:
+        """One g.random call per member, of the block's size, the values in
+        the order the block methods take them."""
+        sizes, order = block
+        u = np.concatenate([g.random(n) for g, n in zip(rngs, sizes)])
+        return u if order is None else u[order]
 
     def _per_scale(self, thresholds, k) -> list:
         """The flat thresholds of member-scale k as a list, for messages."""
@@ -248,14 +328,20 @@ class _GibbsKernel:
     def sweep(self, betas, thresholds, proposal_sds, rngs):
         """One full sweep of every member; returns (betas, thresholds,
         accepts)."""
-        eta = np.concatenate([f.dataset.features @ b for f, b in zip(self.fits, betas)])
-        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs)
-        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs)
-        betas = self.draw_coefficients(y_star, rngs)
-        self._check_state(betas, thresholds, y_star, lowers, uppers)
-        return betas, thresholds, accepts
+        u = self._uniforms(rngs, self._sweep_block)
+        coefs = np.concatenate([betas[j] for j in self._row_members])
+        eta = np.empty(self._lower_pos.size)
+        for X, _, _, _, rows, cols in self._groups:
+            k, n, p = X.shape
+            np.matmul(X, coefs[cols].reshape(k, p, 1), out=eta[rows].reshape(k, n, 1))
+        split = self._num_threshold_uniforms
+        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs, u[:split])
+        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs, u[split:])
+        coefs = self._coefficients(y_star, rngs)
+        self._check_state(coefs, thresholds, y_star, lowers, uppers)
+        return [coefs[s] for s in self._coef_slices], thresholds, accepts
 
-    def update_thresholds(self, eta, thresholds, proposal_sds, rngs):
+    def update_thresholds(self, eta, thresholds, proposal_sds, rngs, uniforms=None):
         """One blocked MH move per member-scale given the linear predictor
         eta; returns the new thresholds and the accept flags. The move
         integrates the latents out, so it sees only the labels.
@@ -264,37 +350,44 @@ class _GibbsKernel:
         truncated to (proposed c-1, current c+1), so the proposal is
         ordered by construction (Cowles 1996). One call draws threshold c
         of every member-scale, for c = 1, 2, ..., which keeps each scale's
-        proposal sequential; then each member draws its accept uniforms.
+        proposal sequential. uniforms are the proposal values, then the
+        accept uniforms, as sweep hands them over; without them each member
+        draws its own.
         """
+        if uniforms is None:
+            uniforms = self._uniforms(rngs, self._threshold_block)
         edges = self._edges
         edges[self._threshold_pos] = thresholds
-        variances = np.square(proposal_sds)
-        for current, below, above, slots, taking, members, counts in self._proposal_steps:
+        sds = np.asarray(proposal_sds, dtype=float)
+        variances = np.square(sds)[self._step_scale]
+        # each step's means and upper bounds are current thresholds; only
+        # its lower bounds, the previous step's draws, wait for it
+        means = edges[self._step_pos]
+        uppers = edges[self._step_pos + 1]
+        inner_uppers = np.nextafter(uppers, -np.inf)
+        for step, below, slots, counts in self._steps:
+            lowers = edges[below]
             edges[slots] = sample_truncated_normal_many(
-                edges[current], variances[taking], edges[below], edges[above],
-                [rngs[j] for j in members], counts,
+                means[step], variances[step], lowers, uppers[step], rngs, counts,
+                uniforms[step], (np.nextafter(lowers, np.inf), inner_uppers[step]),
             )
-        uniforms = []
-        for g, scales in zip(rngs, self.scale_slices):
-            uniforms.extend(g.random(scales.stop - scales.start).tolist())
         proposed = edges[self._threshold_slots[1]]
-        log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, proposal_sds)
-        accepts = []
-        for k, (log_ratio, u) in enumerate(zip(log_ratios.tolist(), uniforms)):
-            if math.isnan(log_ratio) or log_ratio == math.inf:
-                rows = slice(self._row_bounds[k], self._row_bounds[k + 1])
-                eta_k = (eta if self._grouping is None else eta[self._grouping])[rows]
-                raise SamplerPanicError(
-                    "zero-probability or undefined state in threshold update: "
-                    f"scale={self._scales[k].scale_id} "
-                    f"current={self._per_scale(thresholds, k)} "
-                    f"proposed={self._per_scale(proposed, k)} log_ratio={log_ratio} "
-                    f"eta_range=({eta_k.min()}, {eta_k.max()})"
-                )
-            accepts.append(
-                log_ratio >= 0.0
-                or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
+        log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, sds)
+        if not np.maximum.reduce(log_ratios) < np.inf:  # a NaN or +inf ratio
+            k = int(np.flatnonzero(~(log_ratios < np.inf))[0])
+            rows = slice(self._row_bounds[k], self._row_bounds[k + 1])
+            eta_k = (eta if self._grouping is None else eta[self._grouping])[rows]
+            raise SamplerPanicError(
+                "zero-probability or undefined state in threshold update: "
+                f"scale={self._scales[k].scale_id} "
+                f"current={self._per_scale(thresholds, k)} "
+                f"proposed={self._per_scale(proposed, k)} log_ratio={log_ratios[k]} "
+                f"eta_range=({eta_k.min()}, {eta_k.max()})"
             )
+        accepts = [
+            log_ratio >= 0.0 or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
+            for log_ratio, u in zip(log_ratios.tolist(), uniforms[self._threshold_pos.size :].tolist())
+        ]
         taken = np.array(accepts)[self._threshold_scale]
         return np.where(taken, proposed, thresholds), accepts
 
@@ -316,56 +409,79 @@ class _GibbsKernel:
         edges = self._edges
         centre = np.array((thresholds, proposed), dtype=float)
         edges[self._threshold_slots] = centre
-        if self._grouping is not None:
-            eta = eta[self._grouping]
-        # rows 0 and 1: the labels' log-likelihood under current and proposed
-        loglik = log_interval_mass(
-            edges[self._label_lower] - eta, edges[self._label_upper] - eta
-        )
-        above = edges[self._above]
-        sds = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
-        # rows 0 and 1: forward and reverse proposal normalizers
-        log_norm = log_interval_mass(
-            (edges[self._below] - centre) / sds, (above - centre) / sds
-        )
-        ll = np.add.reduceat(loglik, self._row_bounds[:-1], axis=1)
-        norm = np.add.reduceat(log_norm, self._threshold_bounds[:-1], axis=1)
+        num_rows = self._lower_pos.size
+        # each bound less its location, over its scale: eta and 1 for the
+        # labels, the move's centre and the proposal sd for the normalizers
+        loc, scale = self._mass_loc, self._mass_scale
+        loc[:, :num_rows] = eta if self._grouping is None else eta[self._grouping]
+        loc[:, num_rows:] = centre
+        scale[num_rows:] = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
+        ends = edges[self._mass_ends]
+        lowers, uppers = (ends - loc) / scale
+        log_mass = log_interval_mass(lowers, uppers)
+        # per member-scale, rows 0 and 1: the labels' log-likelihood under
+        # current and proposed, then the forward and reverse normalizers
+        sums = np.add.reduceat(log_mass, self._mass_bounds, axis=1)
+        ll, norm = sums[:, : len(self._scales)], sums[:, len(self._scales) :]
         with np.errstate(invalid="ignore"):
             ratios = ll[1] - ll[0] + norm[0] - norm[1]
-        irreversible = centre[0] >= above[1]
+        irreversible = centre[0] >= ends[1, 1, num_rows:]
         ratios[np.logical_or.reduceat(irreversible, self._threshold_bounds[:-1])] = _NEG_INF
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
-    def draw_latents(self, eta, thresholds, rngs):
+    def draw_latents(self, eta, thresholds, rngs, uniforms=None):
         """Redraw every latent from its truncated-normal conditional, each
         member's from its own generator; returns the latents and their
-        lower and upper bounds."""
+        lower and upper bounds. uniforms are the rows' values, as sweep
+        hands them over; without them each member draws its own."""
+        if uniforms is None:
+            uniforms = self._uniforms(rngs, self._latent_block)
         edges = self._edges
         edges[self._threshold_pos] = thresholds
-        lowers = edges[self._lower_pos]
-        uppers = edges[self._upper_pos]
-        y_star = sample_truncated_normal_many(eta, 1.0, lowers, uppers, rngs, self._row_counts)
+        current = edges[: self._width]
+        lowers = current[self._lower_pos]
+        uppers = current[self._upper_pos]
+        inner = (
+            np.nextafter(current, np.inf)[self._lower_pos],
+            np.nextafter(current, -np.inf)[self._upper_pos],
+        )
+        rngs = [rngs[j] for j in self._row_members]
+        y_star = sample_truncated_normal_many(
+            eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms, inner
+        )
         return y_star, lowers, uppers
 
     def draw_coefficients(self, y_star, rngs) -> list:
         """Exact conjugate draw of every member's coefficients given the
         latents."""
-        betas = []
-        for f, g, rows in zip(self.fits, rngs, self.row_slices):
-            b = f.lam_mu + f.dataset.features.T @ y_star[rows]
-            z = g.standard_normal(b.size)
-            betas.append(f.chol_inv.T @ (f.chol_inv @ b + z))
-        return betas
+        coefs = self._coefficients(y_star, rngs)
+        return [coefs[s] for s in self._coef_slices]
 
-    def _check_state(self, betas, thresholds, y_star, lowers, uppers):
+    def _coefficients(self, y_star, rngs) -> np.ndarray:
+        """draw_coefficients' draws end to end, group by group."""
+        coefs = np.empty(self._num_coefs)
+        for X, Ct, lam_mu, members, rows, cols in self._groups:
+            k, n, p = X.shape
+            out = coefs[cols].reshape(k, p, 1)
+            for i, j in enumerate(members):
+                rngs[j].standard_normal(out=out[i, :, 0])
+            b = np.matmul(X.transpose(0, 2, 1), y_star[rows].reshape(k, n, 1))
+            b += lam_mu
+            w = np.matmul(Ct.transpose(0, 2, 1), b)
+            w += out
+            np.matmul(Ct, w, out=out)
+        return coefs
+
+    def _check_state(self, coefs, thresholds, y_star, lowers, uppers):
         inside = (y_star > lowers) & (y_star < uppers)
         ordered = (thresholds[1:] > thresholds[:-1]) | self._scale_breaks
-        if inside.all() and ordered.all() and all(np.isfinite(beta).all() for beta in betas):
+        if inside.all() and ordered.all() and np.isfinite(coefs).all():
             return
-        for beta, rows, scales, own in zip(
-            betas, self.row_slices, self.scale_slices, self.threshold_slices
+        for own_coefs, rows, scales, own in zip(
+            self._coef_slices, self.row_slices, self.scale_slices, self.threshold_slices
         ):
+            beta = coefs[own_coefs]
             if not (np.isfinite(beta).all() and ordered[own].all() and inside[rows].all()):
                 gammas = [self._per_scale(thresholds, k) for k in range(scales.start, scales.stop)]
                 raise SamplerPanicError(

@@ -168,6 +168,21 @@ def test_table_round_trip_with_nan(tmp_path):
     assert rows[0][1] == "" and rows[1][1] == "0.5"
 
 
+def test_table_lines_match_the_cell_by_cell_format():
+    rows = [
+        ("a", 1, 0.1, True),
+        ("b", np.int64(-7), float("nan"), False),
+        ("banana", np.int32(3), math.inf, np.float64(-math.inf)),
+        ["list", 2**70, -0.0, np.float32(0.1)],
+        ("x%sy", np.uint64(2**64 - 1), np.float64("nan"), 1e-300),
+        (np.bool_(True), np.str_("s"), 2.5, np.float16(1.5)),
+        (),
+    ]
+    want = ["h1,h2\n"] + [",".join(map(io._format_cell, row)) + "\n" for row in rows]
+    assert list(io._table_lines(["h1", "h2"], rows)) == want
+    assert want[2] == "b,-7,,0\n" and want[3] == "banana,3,inf,-inf\n"
+
+
 def test_write_table_that_raises_partway_leaves_no_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_table(path, ["a"], [(1,)])
@@ -825,6 +840,30 @@ def test_cli_experiment_census_gives_each_failed_fits_lone_error(tmp_path):
             run_chains(multi, replace(config.chain_config, seed=_fit_seed(children[1])))
         assert f["message"] == str(alone.value)
         assert f["message"].startswith("chain 0: sweep 1: interval probability mass underflow")
+
+
+def test_cli_experiment_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the experiment2 shape (p = 48), whose stacked products go through
+    # BLAS; each run in its own process, since OpenBLAS reads its thread
+    # count when it loads
+    doc = preset("experiment2-desk")
+    doc["replications"] = 2
+    doc["chain"].update(burn_in=15, thinning=1, stored_draws=15)
+    config = _write_json(tmp_path / "exp.json", doc)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "msprobit.cli", "experiment", "--config", config,
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(files[0]) >= 3 and files[0] == files[1]
 
 
 def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):

@@ -500,6 +500,86 @@ def test_batch_draws_are_each_fits_lone_draws(monkeypatch, sweeps):
     assert start == len(batch_rngs)
 
 
+def _assert_batch_is_lone_runs(fits, sweeps):
+    """Each fit's draws in one run_fits batch, and its chains' generator end
+    states, equal those of its lone run."""
+    batch, batch_rngs = run_fits_seen(fits, sweeps)
+    start = 0
+    for fit, got in zip(fits, batch):
+        (want,), rngs = run_fits_seen([fit], sweeps)
+        assert isinstance(got, DrawSet), got
+        _assert_same_fit(got, want)
+        for g, h in zip(batch_rngs[start:], rngs):
+            assert g.bit_generator.state == h.bit_generator.state
+        start += len(rngs)
+    assert start == len(batch_rngs)
+
+
+def test_tail_redraws_follow_each_chains_uniform_block(monkeypatch, sweeps):
+    # with the inverse-CDF cutoff raised, many proposal and latent intervals
+    # redraw by rejection, from their chain's stream after its block
+    monkeypatch.setattr(distributions, "_INVERSE_CDF_MASS_CUTOFF", 0.5)
+    monkeypatch.setattr(distributions, "_LOG_INVERSE_CDF_CUTOFF", math.log(0.5))
+    monkeypatch.setattr(distributions, "_SCREEN_MASS", 0.9)
+    calls, tails = [], []  # the kind of each sampler call and tail redraw
+    draw, tail_draw = sampler.sample_truncated_normal_many, distributions._tail_draw
+
+    def tagged(means, variance, *args):
+        calls.append("latent" if np.ndim(variance) == 0 else "proposal")
+        return draw(means, variance, *args)
+
+    def counted(a, b, rng):
+        tails.append(calls[-1])
+        return tail_draw(a, b, rng)
+
+    monkeypatch.setattr(sampler, "sample_truncated_normal_many", tagged)
+    monkeypatch.setattr(distributions, "_tail_draw", counted)
+    fits = [(dataset, replace(config, proposal_sd=10.0)) for dataset, config in _ragged_fits()]
+    # a fit whose features have the second fit's shape, so that the batch's
+    # rows, run shape by shape, are not in member order, and whose middle
+    # thresholds follow a member without any in the same proposal step
+    fits.append((fits[1][0], replace(fits[1][1], seed=5)))
+    _assert_batch_is_lone_runs(fits, sweeps)
+    assert tails.count("proposal") > 100 and tails.count("latent") > 100
+
+
+class _CountingGenerator:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, seed):
+        self._generator = np.random.default_rng(seed)
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_each_chain_calls_its_generator_twice_per_sweep(monkeypatch):
+    tails = []
+    monkeypatch.setattr(distributions, "_tail_draw", lambda *args: tails.append(args))
+    members, betas, thresholds = [], [], []
+    for dataset, config in _ragged_fits()[:3]:
+        beta, gammas = sampler.initial_state(dataset, config)
+        fit = _Fit(dataset, config)
+        members += [fit] * config.num_chains
+        betas += [beta] * config.num_chains
+        thresholds += [gammas] * config.num_chains
+    kernel = _GibbsKernel(members)
+    rngs = [_CountingGenerator(seed) for seed in range(len(members))]
+    thresholds = np.concatenate(thresholds)
+    for _ in range(30):
+        betas, thresholds, _ = kernel.sweep(betas, thresholds, kernel.proposal_sds(), rngs)
+    assert tails == []
+    for g in rngs:
+        assert g.calls == {"random": 30, "standard_normal": 30}
+
+
 def _inject_panics(monkeypatch, faults):
     """Make a sweep raise when it is sweep m of the chain drawing from
     SeedSequence(seed) child i, for every (seed, i, m) in faults. A chain is
