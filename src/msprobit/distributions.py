@@ -112,9 +112,7 @@ def _tail_draw(a: float, b: float, rng: np.random.Generator) -> float:
     raise NumericalError(f"tail rejection sampler failed to accept on ({a}, {b})")
 
 
-def sample_truncated_normal_many(
-    means, variance, lowers, uppers, rng, counts=None, uniforms=None, inner=None
-):
+def sample_truncated_normal_many(means, variance, lowers, uppers, rng, counts=None, uniforms=None):
     """Draw element i from Normal(means[i], variance) restricted to
     (lowers[i], uppers[i]); variance is one value or one per element.
 
@@ -138,8 +136,7 @@ def sample_truncated_normal_many(
     uniforms, an array of one per element, replaces the call's first
     draw, for a caller that draws it ahead from the same streams (the Gibbs
     kernel draws a chain's uniforms for a sweep as one block); rng then
-    serves only the tail redraws. inner is (nextafter(lowers, inf),
-    nextafter(uppers, -inf)), the clamp bounds, if the caller has them.
+    serves only the tail redraws.
     """
     means = np.asarray(means, dtype=float)
     variance = np.asarray(variance, dtype=float)
@@ -203,10 +200,8 @@ def sample_truncated_normal_many(
     if not unit:
         z *= sd
     z += means
-    if inner is None:
-        inner = (np.nextafter(lowers, np.inf), np.nextafter(uppers, -np.inf))
-    np.maximum(z, inner[0], out=z)
-    return np.minimum(z, inner[1], out=z)
+    np.maximum(z, np.nextafter(lowers, np.inf), out=z)
+    return np.minimum(z, np.nextafter(uppers, -np.inf), out=z)
 
 
 def _at(values, like, i):

@@ -268,33 +268,10 @@ def _format_cell(v) -> str:
     return format_float(v)
 
 
-def _conversion(cell_type) -> str | None:
-    """The % conversion that writes a cell of this exact type as
-    _format_cell does (but a NaN float), or None."""
-    if cell_type is str:
-        return "%s"
-    if cell_type in (int, bool) or issubclass(cell_type, np.integer):
-        return "%d"
-    return "%.17g" if cell_type is float or issubclass(cell_type, np.floating) else None
-
-
 def _table_lines(header: list[str], rows: Iterable[tuple]):
-    """The CSV lines of a table. A row is one % format, cached per tuple of
-    cell types; a row with a cell of another type, or whose line holds a
-    "nan" (a NaN float, which _format_cell writes empty), is formatted cell
-    by cell."""
     yield ",".join(header) + "\n"
-    formats = {}
     for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in formats:
-            conversions = [_conversion(t) for t in types]
-            formats[types] = None if None in conversions else ",".join(conversions) + "\n"
-        line = formats[types] and formats[types] % row
-        if not line or "nan" in line:
-            line = ",".join(map(_format_cell, row)) + "\n"
-        yield line
+        yield ",".join(map(_format_cell, row)) + "\n"
 
 
 def write_table(path: str, header: list[str], rows: Iterable[tuple]):

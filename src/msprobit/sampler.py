@@ -227,7 +227,7 @@ class _GibbsKernel:
         self._threshold_bounds = np.array([0, *accumulate(num_thresholds)])
 
         offsets = np.array([0, *accumulate(t + 2 for t in num_thresholds)])
-        self._width = width = int(offsets[-1])
+        width = int(offsets[-1])
         # the current edges fill [0, width), a proposal's [width, 2 * width)
         starts = offsets[:-1]
         self._edges = np.full(2 * width, np.inf)
@@ -289,21 +289,15 @@ class _GibbsKernel:
         order = np.argsort(row_scale, kind="stable")
         self._grouping = None if (row_scale[1:] >= row_scale[:-1]).all() else order
         both = np.array([[0], [width]])  # current, proposed
-        label_lower = self._lower_pos[order] + both
+        self._label_lower = self._lower_pos[order] + both
+        self._label_upper = self._label_lower + 1
         self._threshold_slots = tpos + both
-        # The move's log masses in one call: the labels' under current and
-        # proposed thresholds, then the forward and reverse normalizers of
-        # threshold t, proposed inside (proposed t-1, current t+1) and drawn
-        # back inside (current t-1, proposed t+1).
-        self._mass_ends = np.array((
-            np.concatenate((label_lower, tpos - 1 + both[::-1]), axis=1),
-            np.concatenate((label_lower + 1, tpos + 1 + both), axis=1),
-        ))
-        num_rows = row_scale.size
-        self._mass_loc = np.empty((2, num_rows + k.size))
-        self._mass_scale = np.ones(num_rows + k.size)
-        self._row_bounds = np.array([0, *accumulate(np.bincount(row_scale, minlength=len(scales)).tolist())])
-        self._mass_bounds = np.concatenate((self._row_bounds[:-1], num_rows + self._threshold_bounds[:-1]))
+        # threshold t is proposed inside (proposed t-1, current t+1) and
+        # would be drawn back inside (current t-1, proposed t+1)
+        self._below = tpos - 1 + both[::-1]
+        self._above = tpos + 1 + both
+        # where each member-scale's rows start, and end
+        self._row_bounds = np.cumsum([0, *np.bincount(row_scale, minlength=len(scales))])
 
         # the uniforms of a sweep, and of a block method called on its own:
         # proposal values step by step, accept uniforms, latents by row
@@ -364,12 +358,9 @@ class _GibbsKernel:
         # its lower bounds, the previous step's draws, wait for it
         means = edges[self._step_pos]
         uppers = edges[self._step_pos + 1]
-        inner_uppers = np.nextafter(uppers, -np.inf)
         for step, below, slots, counts in self._steps:
-            lowers = edges[below]
             edges[slots] = sample_truncated_normal_many(
-                means[step], variances[step], lowers, uppers[step], rngs, counts,
-                uniforms[step], (np.nextafter(lowers, np.inf), inner_uppers[step]),
+                means[step], variances[step], edges[below], uppers[step], rngs, counts, uniforms[step]
             )
         proposed = edges[self._threshold_slots[1]]
         log_ratios = self.log_acceptance_ratios(eta, thresholds, proposed, sds)
@@ -409,23 +400,23 @@ class _GibbsKernel:
         edges = self._edges
         centre = np.array((thresholds, proposed), dtype=float)
         edges[self._threshold_slots] = centre
-        num_rows = self._lower_pos.size
-        # each bound less its location, over its scale: eta and 1 for the
-        # labels, the move's centre and the proposal sd for the normalizers
-        loc, scale = self._mass_loc, self._mass_scale
-        loc[:, :num_rows] = eta if self._grouping is None else eta[self._grouping]
-        loc[:, num_rows:] = centre
-        scale[num_rows:] = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
-        ends = edges[self._mass_ends]
-        lowers, uppers = (ends - loc) / scale
-        log_mass = log_interval_mass(lowers, uppers)
-        # per member-scale, rows 0 and 1: the labels' log-likelihood under
-        # current and proposed, then the forward and reverse normalizers
-        sums = np.add.reduceat(log_mass, self._mass_bounds, axis=1)
-        ll, norm = sums[:, : len(self._scales)], sums[:, len(self._scales) :]
+        if self._grouping is not None:
+            eta = eta[self._grouping]
+        # rows 0 and 1: the labels' log-likelihood under current and proposed
+        loglik = log_interval_mass(
+            edges[self._label_lower] - eta, edges[self._label_upper] - eta
+        )
+        above = edges[self._above]
+        sds = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
+        # rows 0 and 1: forward and reverse proposal normalizers
+        log_norm = log_interval_mass(
+            (edges[self._below] - centre) / sds, (above - centre) / sds
+        )
+        ll = np.add.reduceat(loglik, self._row_bounds[:-1], axis=1)
+        norm = np.add.reduceat(log_norm, self._threshold_bounds[:-1], axis=1)
         with np.errstate(invalid="ignore"):
             ratios = ll[1] - ll[0] + norm[0] - norm[1]
-        irreversible = centre[0] >= ends[1, 1, num_rows:]
+        irreversible = centre[0] >= above[1]
         ratios[np.logical_or.reduceat(irreversible, self._threshold_bounds[:-1])] = _NEG_INF
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
@@ -439,16 +430,11 @@ class _GibbsKernel:
             uniforms = self._uniforms(rngs, self._latent_block)
         edges = self._edges
         edges[self._threshold_pos] = thresholds
-        current = edges[: self._width]
-        lowers = current[self._lower_pos]
-        uppers = current[self._upper_pos]
-        inner = (
-            np.nextafter(current, np.inf)[self._lower_pos],
-            np.nextafter(current, -np.inf)[self._upper_pos],
-        )
+        lowers = edges[self._lower_pos]
+        uppers = edges[self._upper_pos]
         rngs = [rngs[j] for j in self._row_members]
         y_star = sample_truncated_normal_many(
-            eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms, inner
+            eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms
         )
         return y_star, lowers, uppers
 

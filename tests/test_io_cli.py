@@ -168,21 +168,6 @@ def test_table_round_trip_with_nan(tmp_path):
     assert rows[0][1] == "" and rows[1][1] == "0.5"
 
 
-def test_table_lines_match_the_cell_by_cell_format():
-    rows = [
-        ("a", 1, 0.1, True),
-        ("b", np.int64(-7), float("nan"), False),
-        ("banana", np.int32(3), math.inf, np.float64(-math.inf)),
-        ["list", 2**70, -0.0, np.float32(0.1)],
-        ("x%sy", np.uint64(2**64 - 1), np.float64("nan"), 1e-300),
-        (np.bool_(True), np.str_("s"), 2.5, np.float16(1.5)),
-        (),
-    ]
-    want = ["h1,h2\n"] + [",".join(map(io._format_cell, row)) + "\n" for row in rows]
-    assert list(io._table_lines(["h1", "h2"], rows)) == want
-    assert want[2] == "b,-7,,0\n" and want[3] == "banana,3,inf,-inf\n"
-
-
 def test_write_table_that_raises_partway_leaves_no_trace(tmp_path):
     path = str(tmp_path / "t.csv")
     io.write_table(path, ["a"], [(1,)])
