@@ -17,15 +17,17 @@ Cholesky factor of the posterior precision, computed once per dataset.
 Every truncated-normal draw goes through ``sample_truncated_normal_many``.
 
 One kernel steps a batch of chains, of one fit or of several, in
-lockstep: the flat layout holds the scales of every chain end to end, so
-each vector call above serves the whole batch, and each product with the
-features or inverse factors is one stacked matmul per feature shape.
-Each chain keeps its own generator and draws the values it would draw
-alone, in this order each sweep: one block of uniforms (its proposal
-values position by position, one accept uniform per scale, one per
-latent row), then the rejection redraws of intervals too thin for the
-inverse CDF (the proposals', then the latents'), then the normals of its
-coefficient draw. A block raises
+lockstep and in one order: the batch state is two flat vectors, every
+chain's coefficients end to end and every chain's thresholds end to end,
+and the rows run chain by chain as well. Each vector call above serves
+the whole batch, and each product with the features or inverse factors is
+one stacked matmul per run of chains of one feature shape; run_fits sorts
+its chains by shape, so each shape is one run. Each chain keeps its own
+generator and draws the values it would draw alone, in this order each
+sweep: one block of uniforms (its proposal values position by position,
+one accept uniform per scale, one per latent row), then the rejection
+redraws of intervals too thin for the inverse CDF (the proposals', then
+the latents'), then the normals of its coefficient draw. A block raises
 the first error it finds in any chain of the batch; run_fits then runs
 the batch again in halves, down to lone chains, so every error names its
 chain and reads as that chain's lone run gives it. run_in_chunks steps
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -165,43 +167,32 @@ def _stacked(arrays: list, shared: bool) -> np.ndarray:
     return np.stack(arrays)
 
 
-def _block(owners: list, num_members: int) -> tuple:
-    """(sizes, order) of one uniform draw per member, given the owning
-    member of each value in the order the blocks take them: each member
-    draws its values in that order, and order indexes the members' draws
-    end to end in it (None for the identity)."""
-    owner = np.concatenate(owners)
-    if num_members == 1:
-        return [owner.size], None
-    order = np.empty_like(owner)
-    order[np.argsort(owner, kind="stable")] = np.arange(owner.size)
-    return np.bincount(owner, minlength=num_members).tolist(), order
-
-
 class _GibbsKernel:
     """The Gibbs sampler for a batch of members, each one chain of one fit
     (a _Fit per member; the chains of a fit share it). run_fits, the tuner
     and the acceptance gate all step it, and one sweep steps every member.
 
-    The members may differ in rows, features, scales and thresholds. A
-    member's state is its beta plus its thresholds, every scale's
-    thresholds in one flat vector, scale by scale; the batch state is the
-    list of betas plus the members' threshold vectors end to end. Every
-    member-scale (one scale of one member) has its slots in one flat array
-    of class edges, (-inf, thresholds, +inf), followed by the same layout
-    for a proposal, and each row holds the index of its lower and upper
-    edge in it. A sweep is three blocks, each a method: the thresholds, the
-    latents, the coefficients. The threshold proposal is drawn position by
-    position into the proposal half, threshold c of every member-scale in
-    one call; the threshold move's ratios and the latent draw are one call
-    each for the whole batch.
+    The members may differ in rows, features, scales and thresholds, and
+    everything runs in member order: the batch state is two flat vectors,
+    every member's coefficients end to end (coef_slices) and every
+    member's thresholds end to end, scale by scale (threshold_slices), and
+    the rows run member by member (row_slices). Every member-scale (one
+    scale of one member) has its slots in one flat array of class edges,
+    (-inf, thresholds, +inf), followed by the same layout for a proposal,
+    and each row holds the index of its lower and upper edge in it.
 
-    Members whose features have one shape form a group, with their rows
-    end to end (the batch's rows run group by group) and their features,
-    inverse factors and prior terms stacked: each product is one matmul per
-    group, slice by slice the member's own, and a lone chain is a group of
-    one. Each member draws from its own generator, in the module's stream
-    order, the values its lone chain would draw.
+    A sweep draws every member's block of uniforms first (uniforms), then
+    computes the linear predictor (linear_predictor) and runs the three
+    blocks, each a method that takes its part of that block: the
+    thresholds, the latents, the coefficients. The threshold proposal is
+    drawn position by position into the proposal half, threshold c of
+    every member-scale in one call; the threshold move's ratios and the
+    latent draw are one call each for the whole batch. A run of
+    consecutive members whose features have one shape is a group, with
+    its features, inverse factors and prior terms stacked: each product is
+    one matmul per group, slice by slice the member's own, and a lone
+    chain is a group of one. Each member draws from its own generator, in
+    the module's stream order, the values its lone chain would draw.
 
     A block that finds an error in any member raises it, as a lone chain's
     block would; run_fits reruns a failed batch in halves to find the
@@ -211,13 +202,16 @@ class _GibbsKernel:
     def __init__(self, fits: list[_Fit]):
         self.fits = fits
         num_members = len(fits)
-        scales = [s for f in fits for s in f.dataset.scales]
-        self._scales = scales
+        self._scales = scales = [s for f in fits for s in f.dataset.scales]
         scale_counts = [len(f.dataset.scales) for f in fits]
-        # each member's slice of the member-scales and the flat thresholds
+        self._row_counts = row_counts = [f.dataset.num_obs for f in fits]
+        # each member's slice of the member-scales, the flat thresholds, the
+        # rows and the flat coefficients
         self.scale_slices = _slices(scale_counts)
         num_thresholds = [s.num_thresholds for s in scales]
         self.threshold_slices = _slices([sum(num_thresholds[own]) for own in self.scale_slices])
+        self.row_slices = _slices(row_counts)
+        self.coef_slices = _slices([f.dataset.num_features for f in fits])
         # the member of every member-scale, and the member-scale of every
         # threshold of the flat state
         scale_member = np.repeat(np.arange(num_members), scale_counts)
@@ -250,40 +244,28 @@ class _GibbsKernel:
             for step, owned in zip(_slices(step_sizes), counts.tolist())
         ]
 
-        # groups of members with one feature shape, and the rows of all
-        # members end to end, group by group
-        shapes = {}
-        for j, f in enumerate(fits):
-            shapes.setdefault(f.dataset.features.shape, []).append(j)
-        row_members = [j for members in shapes.values() for j in members]
-        self._row_members = row_members
-        self._row_counts = [fits[j].dataset.num_obs for j in row_members]
-        self.row_slices = [None] * num_members  # each member's rows
-        self._coef_slices = [None] * num_members  # each member's coefficients
-        self._groups = []
-        rows = cols = 0
-        for (n, p), members in shapes.items():
-            group = [fits[j] for j in members]
+        # the groups, runs of consecutive members with one feature shape:
+        # their members, rows and coefficients are one slice each
+        self._groups, end = [], 0
+        for _, run in groupby(fits, key=lambda f: f.dataset.features.shape):
+            group = list(run)
+            first, end = end, end + len(group)
             shared = all(f is group[0] for f in group)
-            for i, j in enumerate(members):
-                self.row_slices[j] = slice(rows + i * n, rows + (i + 1) * n)
-                self._coef_slices[j] = slice(cols + i * p, cols + (i + 1) * p)
-            end_rows, end_cols = rows + len(members) * n, cols + len(members) * p
             self._groups.append((  # the factors' transposes are C ordered
                 _stacked([f.dataset.features for f in group], shared),
                 _stacked([f.chol_inv.T for f in group], shared),
                 _stacked([f.lam_mu for f in group], shared)[..., None],
-                members, slice(rows, end_rows), slice(cols, end_cols),
+                slice(first, end),
+                slice(self.row_slices[first].start, self.row_slices[end - 1].stop),
+                slice(self.coef_slices[first].start, self.coef_slices[end - 1].stop),
             ))
-            rows, cols = end_rows, end_cols
-        self._num_coefs = cols
 
         # the member-scale of every row; the threshold move takes the rows
         # grouped by member-scale, so that each member-scale's rows, like
         # its thresholds, are one contiguous slice
         first_scale = [s.start for s in self.scale_slices]
-        row_scale = np.concatenate([first_scale[j] + fits[j].scale_index for j in row_members])
-        labels = np.concatenate([fits[j].dataset.labels for j in row_members])
+        row_scale = np.concatenate([first + f.scale_index for first, f in zip(first_scale, fits)])
+        labels = np.concatenate([f.dataset.labels for f in fits])
         self._lower_pos = starts[row_scale] + labels - 1
         self._upper_pos = self._lower_pos + 1
         order = np.argsort(row_scale, kind="stable")
@@ -299,43 +281,48 @@ class _GibbsKernel:
         # where each member-scale's rows start, and end
         self._row_bounds = np.cumsum([0, *np.bincount(row_scale, minlength=len(scales))])
 
-        # the uniforms of a sweep, and of a block method called on its own:
-        # proposal values step by step, accept uniforms, latents by row
-        owners = (step_owner, scale_member, np.repeat(row_members, self._row_counts))
-        self._sweep_block = _block(owners, num_members)
-        self._threshold_block = _block(owners[:2], num_members)
-        self._latent_block = _block(owners[2:], num_members)
-        self._num_threshold_uniforms = k.size + len(scales)
+        # A sweep's uniforms, in the order the blocks take them: proposal
+        # values step by step, then the accept and latent parts, one value
+        # per member-scale and per row. Each member draws its own in that
+        # order, so only the proposal values interleave members; order
+        # indexes the members' draws end to end (None for the identity).
+        owner = np.concatenate((step_owner, scale_member, np.repeat(np.arange(num_members), row_counts)))
+        self._uniform_counts = np.bincount(owner, minlength=num_members).tolist()
+        order = np.argsort(np.argsort(owner, kind="stable"))
+        self._uniform_order = None if num_members == 1 else order
+        self._accept_part = slice(k.size, k.size + len(scales))
+        self._latent_part = slice(k.size + len(scales), None)
 
-    @staticmethod
-    def _uniforms(rngs, block) -> np.ndarray:
-        """One g.random call per member, of the block's size, the values in
-        the order the block methods take them."""
-        sizes, order = block
-        u = np.concatenate([g.random(n) for g, n in zip(rngs, sizes)])
-        return u if order is None else u[order]
+    def uniforms(self, rngs) -> np.ndarray:
+        """A sweep's block of uniforms: one g.random call per member, the
+        values in the order the block methods take them."""
+        u = np.concatenate([g.random(n) for g, n in zip(rngs, self._uniform_counts)])
+        return u if self._uniform_order is None else u[self._uniform_order]
+
+    def linear_predictor(self, coefs) -> np.ndarray:
+        """The linear predictor of every row given the flat coefficients."""
+        eta = np.empty(self._lower_pos.size)
+        for X, _, _, _, rows, cols in self._groups:
+            k, n, p = X.shape
+            np.matmul(X, coefs[cols].reshape(k, p, 1), out=eta[rows].reshape(k, n, 1))
+        return eta
 
     def _per_scale(self, thresholds, k) -> list:
         """The flat thresholds of member-scale k as a list, for messages."""
         return thresholds[self._threshold_bounds[k] : self._threshold_bounds[k + 1]].tolist()
 
-    def sweep(self, betas, thresholds, proposal_sds, rngs):
-        """One full sweep of every member; returns (betas, thresholds,
+    def sweep(self, coefs, thresholds, proposal_sds, rngs):
+        """One full sweep of every member; returns (coefs, thresholds,
         accepts)."""
-        u = self._uniforms(rngs, self._sweep_block)
-        coefs = np.concatenate([betas[j] for j in self._row_members])
-        eta = np.empty(self._lower_pos.size)
-        for X, _, _, _, rows, cols in self._groups:
-            k, n, p = X.shape
-            np.matmul(X, coefs[cols].reshape(k, p, 1), out=eta[rows].reshape(k, n, 1))
-        split = self._num_threshold_uniforms
-        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs, u[:split])
-        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs, u[split:])
-        coefs = self._coefficients(y_star, rngs)
+        u = self.uniforms(rngs)
+        eta = self.linear_predictor(coefs)
+        thresholds, accepts = self.update_thresholds(eta, thresholds, proposal_sds, rngs, u)
+        y_star, lowers, uppers = self.draw_latents(eta, thresholds, rngs, u)
+        coefs = self.draw_coefficients(y_star, rngs)
         self._check_state(coefs, thresholds, y_star, lowers, uppers)
-        return [coefs[s] for s in self._coef_slices], thresholds, accepts
+        return coefs, thresholds, accepts
 
-    def update_thresholds(self, eta, thresholds, proposal_sds, rngs, uniforms=None):
+    def update_thresholds(self, eta, thresholds, proposal_sds, rngs, uniforms):
         """One blocked MH move per member-scale given the linear predictor
         eta; returns the new thresholds and the accept flags. The move
         integrates the latents out, so it sees only the labels.
@@ -344,12 +331,9 @@ class _GibbsKernel:
         truncated to (proposed c-1, current c+1), so the proposal is
         ordered by construction (Cowles 1996). One call draws threshold c
         of every member-scale, for c = 1, 2, ..., which keeps each scale's
-        proposal sequential. uniforms are the proposal values, then the
-        accept uniforms, as sweep hands them over; without them each member
-        draws its own.
+        proposal sequential. uniforms is the sweep's block; the move takes
+        its proposal values, then its accept uniforms.
         """
-        if uniforms is None:
-            uniforms = self._uniforms(rngs, self._threshold_block)
         edges = self._edges
         edges[self._threshold_pos] = thresholds
         sds = np.asarray(proposal_sds, dtype=float)
@@ -377,7 +361,7 @@ class _GibbsKernel:
             )
         accepts = [
             log_ratio >= 0.0 or (log_ratio > _NEG_INF and u > 0.0 and math.log(u) <= log_ratio)
-            for log_ratio, u in zip(log_ratios.tolist(), uniforms[self._threshold_pos.size :].tolist())
+            for log_ratio, u in zip(log_ratios.tolist(), uniforms[self._accept_part].tolist())
         ]
         taken = np.array(accepts)[self._threshold_scale]
         return np.where(taken, proposed, thresholds), accepts
@@ -421,37 +405,29 @@ class _GibbsKernel:
         ratios[ll[0] == _NEG_INF] = np.inf
         return ratios
 
-    def draw_latents(self, eta, thresholds, rngs, uniforms=None):
+    def draw_latents(self, eta, thresholds, rngs, uniforms):
         """Redraw every latent from its truncated-normal conditional, each
         member's from its own generator; returns the latents and their
-        lower and upper bounds. uniforms are the rows' values, as sweep
-        hands them over; without them each member draws its own."""
-        if uniforms is None:
-            uniforms = self._uniforms(rngs, self._latent_block)
+        lower and upper bounds. uniforms is the sweep's block; the rows
+        take its last part."""
         edges = self._edges
         edges[self._threshold_pos] = thresholds
         lowers = edges[self._lower_pos]
         uppers = edges[self._upper_pos]
-        rngs = [rngs[j] for j in self._row_members]
         y_star = sample_truncated_normal_many(
-            eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms
+            eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms[self._latent_part]
         )
         return y_star, lowers, uppers
 
-    def draw_coefficients(self, y_star, rngs) -> list:
+    def draw_coefficients(self, y_star, rngs) -> np.ndarray:
         """Exact conjugate draw of every member's coefficients given the
-        latents."""
-        coefs = self._coefficients(y_star, rngs)
-        return [coefs[s] for s in self._coef_slices]
-
-    def _coefficients(self, y_star, rngs) -> np.ndarray:
-        """draw_coefficients' draws end to end, group by group."""
-        coefs = np.empty(self._num_coefs)
+        latents, as one flat vector."""
+        coefs = np.empty(self.coef_slices[-1].stop)
         for X, Ct, lam_mu, members, rows, cols in self._groups:
             k, n, p = X.shape
             out = coefs[cols].reshape(k, p, 1)
-            for i, j in enumerate(members):
-                rngs[j].standard_normal(out=out[i, :, 0])
+            for g, z in zip(rngs[members], out):
+                g.standard_normal(out=z[:, 0])
             b = np.matmul(X.transpose(0, 2, 1), y_star[rows].reshape(k, n, 1))
             b += lam_mu
             w = np.matmul(Ct.transpose(0, 2, 1), b)
@@ -465,7 +441,7 @@ class _GibbsKernel:
         if inside.all() and ordered.all() and np.isfinite(coefs).all():
             return
         for own_coefs, rows, scales, own in zip(
-            self._coef_slices, self.row_slices, self.scale_slices, self.threshold_slices
+            self.coef_slices, self.row_slices, self.scale_slices, self.threshold_slices
         ):
             beta = coefs[own_coefs]
             if not (np.isfinite(beta).all() and ordered[own].all() and inside[rows].all()):
@@ -557,6 +533,8 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
         for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.num_chains)):
             members.append((k, i, fit, beta0, thresholds0, child))
     if members:
+        # members of one feature shape next to each other: one group each
+        members.sort(key=lambda member: member[2].dataset.features.shape)
         _run_batch(members, (burn_in, thinning, stored), store, errors)
 
     results = []
@@ -589,13 +567,14 @@ def _run_batch(members: list, schedule: tuple, store: list, errors: list):
     burn_in, thinning, stored = schedule
     fit_ids, chain_ids, member_fits, betas, thresholds, seeds = zip(*members)
     kernel = _GibbsKernel(list(member_fits))
+    coefs = np.concatenate(betas)
     thresholds = np.concatenate(thresholds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     sds = kernel.proposal_sds()
     accepted = np.zeros(len(sds), dtype=int)  # per member-scale
     for m in range(1, burn_in + thinning * stored + 1):
         try:
-            betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs)
+            coefs, thresholds, accepts = kernel.sweep(coefs, thresholds, sds, rngs)
         except (MsprobitError, ValueError) as exc:
             if len(members) == 1:
                 if isinstance(exc, MsprobitError):
@@ -609,9 +588,9 @@ def _run_batch(members: list, schedule: tuple, store: list, errors: list):
         accepted += accepts
         if m > burn_in and (m - burn_in) % thinning == 0:
             row = (m - burn_in) // thinning - 1
-            for k, i, beta, own in zip(fit_ids, chain_ids, betas, kernel.threshold_slices):
+            for k, i, cols, own in zip(fit_ids, chain_ids, kernel.coef_slices, kernel.threshold_slices):
                 beta_draws, threshold_draws, _ = store[k]
-                beta_draws[i * stored + row] = beta
+                beta_draws[i * stored + row] = coefs[cols]
                 threshold_draws[i * stored + row] = thresholds[own]
     for k, own in zip(fit_ids, kernel.scale_slices):
         store[k][2][:] += accepted[own]
@@ -700,13 +679,12 @@ def tune_proposal(
     if not 0.0 < float(target_rate) < 1.0:
         raise ConfigError(f"target_rate must be in (0,1), got {target_rate}")
     target = float(target_rate)
-    beta, thresholds = initial_state(dataset, config)
+    coefs, thresholds = initial_state(dataset, config)
     kernel = _GibbsKernel([_Fit(dataset, config)])
-    betas = [beta]
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))]
     sds = kernel.proposal_sds()
     for _ in range(config.burn_in):
-        betas, thresholds, _ = kernel.sweep(betas, thresholds, sds, rngs)
+        coefs, thresholds, _ = kernel.sweep(coefs, thresholds, sds, rngs)
 
     n_scales = len(dataset.scales)
     lo = [None] * n_scales  # largest sd seen with rate above target
@@ -726,7 +704,7 @@ def tune_proposal(
         size = _BRACKET_WINDOW if bracketing else _CONFIRM_WINDOW
         acc = np.zeros(n_scales)
         for _ in range(size):
-            betas, thresholds, accepts = kernel.sweep(betas, thresholds, sds, rngs)
+            coefs, thresholds, accepts = kernel.sweep(coefs, thresholds, sds, rngs)
             acc += accepts
         rates = acc / size
         trajectory.append(

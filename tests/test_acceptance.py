@@ -92,15 +92,16 @@ def test_criterion_01_sweep_kernel_preserves_prior():
                 Dataset(features=X, labels=labels, scale_ids=scale_ids, scales=scales),
                 config,
             )])
-            eta = X @ beta
-            moved, _ = kernel.update_thresholds(eta, thresholds, sds, [rng])
+            eta = kernel.linear_predictor(beta)
+            u = kernel.uniforms([rng])
+            moved, _ = kernel.update_thresholds(eta, thresholds, sds, [rng], u)
             for sl in scale_slices:
                 # flat-prior move corrected to the box prior: zero density
                 # outside the box means the move is rejected after the fact
                 if np.all(np.abs(moved[sl]) <= BOX):
                     thresholds[sl] = moved[sl]
-            latents, _, _ = kernel.draw_latents(eta, thresholds, [rng])
-            (beta,) = kernel.draw_coefficients(latents, [rng])
+            latents, _, _ = kernel.draw_latents(eta, thresholds, [rng], u)
+            beta = kernel.draw_coefficients(latents, [rng])
             if it % thin == thin - 1:
                 kept["b1"].append(beta[0])
                 kept["b2"].append(beta[1])
@@ -146,7 +147,7 @@ def test_criterion_02_coefficient_update_oracle():
         kernel = _GibbsKernel([_Fit(ds, ChainConfig(prior=Prior(mean=0.0, precision=1.0)))])
         latents = np.array([1.0, 2.0])
         draws = np.array(
-            [kernel.draw_coefficients(latents, [rng])[0][0] for _ in range(100_000)]
+            [kernel.draw_coefficients(latents, [rng])[0] for _ in range(100_000)]
         )
         mean_err = abs(draws.mean() - 5.0 / 6.0) / (5.0 / 6.0)
         var_err = abs(draws.var() - 1.0 / 6.0) / (1.0 / 6.0)

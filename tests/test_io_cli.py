@@ -1283,7 +1283,9 @@ def _fuzz_json(text, edit, where, cell, value):
 @example(name="standardization.json", edit="replace", where=1, cell=0, value="1" + "0" * 400)
 def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where, cell, value):
     """Every command that reads the edited file exits 0 to 3 without a
-    traceback, and a failure is exactly one error line on stderr."""
+    traceback, and a failure is exactly one error line on stderr. The
+    commands share one validation path: a dataset or sidecar edit that
+    makes fit exit 1 makes evaluate exit 1 with the same line."""
     texts, root = fuzz_inputs
     mutate = _fuzz_json if name.endswith(".json") else _fuzz_csv
     with tempfile.TemporaryDirectory() as tmp:
@@ -1298,6 +1300,7 @@ def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where,
             "summarize": ["summarize", draws],
             "evaluate": ["evaluate", data, "--config", str(root / "eval.json")],
         }
+        outcomes = {}  # command -> exit code and stderr
         for command in _FUZZ_READERS[name]:
             err = stdio.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
@@ -1307,3 +1310,6 @@ def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where,
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), (
                     command, err.getvalue())
+            outcomes[command] = code, err.getvalue()
+        if "fit" in outcomes and outcomes["fit"][0] == 1:
+            assert outcomes["evaluate"] == outcomes["fit"], outcomes

@@ -222,7 +222,7 @@ def test_mh_update_moves_toward_data(two_scale_dataset):
     eta = np.zeros(ds.num_obs)
     accepted = 0
     for _ in range(400):
-        thresholds, accepts = kernel.update_thresholds(eta, thresholds, [0.4], [g])
+        thresholds, accepts = kernel.update_thresholds(eta, thresholds, [0.4], [g], kernel.uniforms([g]))
         accepted += accepts[0]
         assert thresholds[0] < thresholds[1]
     assert 0 < accepted < 400
@@ -258,7 +258,7 @@ def test_proposals_are_drawn_position_major_inside_their_bounds(monkeypatch):
 
     monkeypatch.setattr(sampler, "sample_truncated_normal_many", counted)
     for _ in range(300):
-        thresholds, _ = kernel.update_thresholds(eta, thresholds, sds, [g])
+        thresholds, _ = kernel.update_thresholds(eta, thresholds, sds, [g], kernel.uniforms([g]))
     assert len(seen) == 300
     # threshold c of every scale that has one, in one call per position
     assert sizes == [3, 2, 1] * 300
@@ -297,7 +297,7 @@ def test_draw_beta_hand_computed_posterior(rng):
     kernel = _one_feature_kernel([1.0, 2.0], Prior())
     y_star = np.array([1.0, 2.0])
     draws = np.array(
-        [kernel.draw_coefficients(y_star, [rng])[0][0] for _ in range(20_000)]
+        [kernel.draw_coefficients(y_star, [rng])[0] for _ in range(20_000)]
     )
     assert draws.mean() == pytest.approx(5.0 / 6.0, abs=0.01)
     assert draws.var() == pytest.approx(1.0 / 6.0, rel=0.05)
@@ -308,7 +308,7 @@ def test_draw_beta_flat_prior_hits_sample_mean(rng):
     kernel = _one_feature_kernel(np.ones(n), Prior(precision=1e-8))
     y_star = np.full(n, 3.0)
     draws = np.array(
-        [kernel.draw_coefficients(y_star, [rng])[0][0] for _ in range(10_000)]
+        [kernel.draw_coefficients(y_star, [rng])[0] for _ in range(10_000)]
     )
     assert draws.mean() == pytest.approx(3.0, abs=0.01)
 
@@ -317,7 +317,7 @@ def test_draw_beta_dominating_prior(rng):
     kernel = _one_feature_kernel([1.0, 2.0], Prior(precision=1e12))
     y_star = np.array([5.0, 5.0])
     for _ in range(50):
-        (b,) = kernel.draw_coefficients(y_star, [rng])
+        b = kernel.draw_coefficients(y_star, [rng])
         assert abs(b[0]) < 1e-4
 
 
@@ -329,7 +329,7 @@ def test_draw_latents_respects_intervals(two_scale_dataset, rng):
     beta = np.array([0.3, -0.2, 0.1])
     gammas = [np.array([0.0]), np.array([-0.7, 0.7])]
     y, lowers, uppers = kernel.draw_latents(
-        ds.features @ beta, np.concatenate(gammas), [rng]
+        ds.features @ beta, np.concatenate(gammas), [rng], kernel.uniforms([rng])
     )
     for k, s in enumerate(ds.scales):
         rows = ds.rows_for_scale(s.scale_id)
@@ -454,18 +454,25 @@ def sweeps(monkeypatch):
     seen = []
     sweep = sampler._GibbsKernel.sweep
 
-    def recording(self, betas, thresholds, sds, rngs):
+    def recording(self, coefs, thresholds, sds, rngs):
         seen.append(list(rngs))
-        return sweep(self, betas, thresholds, sds, rngs)
+        return sweep(self, coefs, thresholds, sds, rngs)
 
     monkeypatch.setattr(sampler._GibbsKernel, "sweep", recording)
     return seen
 
 
 def run_fits_seen(fits, seen):
-    """run_fits(fits) and the generator of each chain, in batch order."""
+    """run_fits(fits) and the generator of each chain, fit by fit and chain
+    by chain: a chain is known by its SeedSequence, since run_fits orders
+    the batch by feature shape."""
     seen.clear()
-    return sampler.run_fits(fits), seen[0]
+    results = sampler.run_fits(fits)
+    by_seed = {}
+    for g in seen[0]:
+        seq = g.bit_generator.seed_seq
+        by_seed[(seq.entropy, *seq.spawn_key)] = g
+    return results, [by_seed[config.seed, i] for _, config in fits for i in range(config.num_chains)]
 
 
 def _assert_same_fit(got, want):
@@ -535,9 +542,9 @@ def test_tail_redraws_follow_each_chains_uniform_block(monkeypatch, sweeps):
     monkeypatch.setattr(sampler, "sample_truncated_normal_many", tagged)
     monkeypatch.setattr(distributions, "_tail_draw", counted)
     fits = [(dataset, replace(config, proposal_sd=10.0)) for dataset, config in _ragged_fits()]
-    # a fit whose features have the second fit's shape, so that the batch's
-    # rows, run shape by shape, are not in member order, and whose middle
-    # thresholds follow a member without any in the same proposal step
+    # a fit whose features have the second fit's shape, so that run_fits
+    # moves it next to the second fit, and whose middle thresholds follow a
+    # member without any in the same proposal step
     fits.append((fits[1][0], replace(fits[1][1], seed=5)))
     _assert_batch_is_lone_runs(fits, sweeps)
     assert tails.count("proposal") > 100 and tails.count("latent") > 100
@@ -563,21 +570,45 @@ class _CountingGenerator:
 def test_each_chain_calls_its_generator_twice_per_sweep(monkeypatch):
     tails = []
     monkeypatch.setattr(distributions, "_tail_draw", lambda *args: tails.append(args))
-    members, betas, thresholds = [], [], []
+    members, coefs, thresholds = [], [], []
     for dataset, config in _ragged_fits()[:3]:
         beta, gammas = sampler.initial_state(dataset, config)
         fit = _Fit(dataset, config)
         members += [fit] * config.num_chains
-        betas += [beta] * config.num_chains
+        coefs += [beta] * config.num_chains
         thresholds += [gammas] * config.num_chains
     kernel = _GibbsKernel(members)
     rngs = [_CountingGenerator(seed) for seed in range(len(members))]
-    thresholds = np.concatenate(thresholds)
+    coefs, thresholds = np.concatenate(coefs), np.concatenate(thresholds)
     for _ in range(30):
-        betas, thresholds, _ = kernel.sweep(betas, thresholds, kernel.proposal_sds(), rngs)
+        coefs, thresholds, _ = kernel.sweep(coefs, thresholds, kernel.proposal_sds(), rngs)
     assert tails == []
     for g in rngs:
         assert g.calls == {"random": 30, "standard_normal": 30}
+
+
+def test_run_fits_stacks_one_group_per_feature_shape(monkeypatch):
+    # three replications' model grids, each a pooled fit then one fit per
+    # scale: 12 fits whose 2 feature shapes alternate in fit order
+    kernels = []
+    init = sampler._GibbsKernel.__init__
+
+    def recording(self, fits):
+        kernels.append(self)
+        init(self, fits)
+
+    monkeypatch.setattr(sampler._GibbsKernel, "__init__", recording)
+    design = Design(3, 20, 5, (1, 3, 2))
+    fits = [
+        (data, ChainConfig(**_SCHEDULE, seed=10 * r + j))
+        for r in range(3)
+        for j, (_, data) in enumerate(
+            simulate_dataset(design, np.random.default_rng(r)).dataset.model_grid()
+        )
+    ]
+    assert all(isinstance(result, DrawSet) for result in sampler.run_fits(fits))
+    (kernel,) = kernels
+    assert [X.shape for X, *_ in kernel._groups] == [(9, 20, 5), (3, 60, 5)]
 
 
 def _inject_panics(monkeypatch, faults):
@@ -588,8 +619,8 @@ def _inject_panics(monkeypatch, faults):
     sweep = sampler._GibbsKernel.sweep
     counts = {}  # generator -> sweeps it took part in
 
-    def failing(self, betas, thresholds, sds, rngs):
-        out = sweep(self, betas, thresholds, sds, rngs)
+    def failing(self, coefs, thresholds, sds, rngs):
+        out = sweep(self, coefs, thresholds, sds, rngs)
         for g in rngs:
             counts[g] = counts.get(g, 0) + 1
             seq = g.bit_generator.seed_seq
