@@ -304,13 +304,10 @@ def default_init(dataset: Dataset, prior: Prior):
                 f"scale {s.scale_id} has empty classes {empty}; every class "
                 "needs at least one observation"
             )
-        # every class holds a row, so num_classes <= labels.size
+        # every class holds a row, so num_classes <= labels.size, and
+        # neighbouring frequencies differ by at least 1/n; ndtri's slope is
+        # at least sqrt(2 pi), so the quantiles strictly increase
         counts = np.bincount(labels, minlength=s.num_classes + 1)[1:]
         cum = np.cumsum(counts[:-1]) / labels.size
-        g = np.asarray(std_normal_quantile(cum), dtype=float).reshape(-1)
-        # Defensive: spread any tied quantiles so the draw stays valid.
-        for c in range(1, g.size):
-            if g[c] <= g[c - 1]:
-                g[c] = g[c - 1] + 1e-3
-        gammas.append(g)
+        gammas.append(std_normal_quantile(cum))
     return beta, tuple(gammas)

@@ -9,12 +9,12 @@ latents (exact truncated-normal conditionals), and the shared
 coefficients (conjugate Gaussian). The threshold move integrates the
 latents out, so its acceptance ratio depends only on the observed labels;
 the latent block immediately afterwards redraws every latent under the
-accepted thresholds. Both blocks read a row's class interval from one flat
-array of the class edges of all scales, and the proposal is drawn into the
-same array position by position: threshold c of every scale in one vector
-call, for c = 1, 2, .... The coefficient draw multiplies by the inverse
-Cholesky factor of the posterior precision, computed once per dataset.
-Every truncated-normal draw goes through ``sample_truncated_normal_many``.
+accepted thresholds. The proposal draws threshold c of every scale in
+one vector call, for c = 1, 2, .... The coefficient draw multiplies by the
+inverse Cholesky factor of the posterior precision, computed once per
+dataset. Every truncated-normal draw goes through
+``sample_truncated_normal_many``. docs/sampler.md states the model, each
+block's conditional and the exact ratio of the threshold move.
 
 One kernel steps a batch of chains, of one fit or of several, in
 lockstep and in one order: the batch state is two flat vectors, every
@@ -176,10 +176,10 @@ class _GibbsKernel:
     everything runs in member order: the batch state is two flat vectors,
     every member's coefficients end to end (coef_slices) and every
     member's thresholds end to end, scale by scale (threshold_slices), and
-    the rows run member by member (row_slices). Every member-scale (one
-    scale of one member) has its slots in one flat array of class edges,
-    (-inf, thresholds, +inf), followed by the same layout for a proposal,
-    and each row holds the index of its lower and upper edge in it.
+    the rows run member by member (row_slices). Both the threshold move
+    and the latent draw read class intervals from one flat array of the
+    class edges of every member-scale (one scale of one member); the
+    worked batch in docs/sampler.md shows that layout and its index arrays.
 
     A sweep draws every member's block of uniforms first (uniforms), then
     computes the linear predictor (linear_predictor) and runs the three
@@ -227,7 +227,7 @@ class _GibbsKernel:
         self._edges = np.full(2 * width, np.inf)
         self._edges[starts] = self._edges[starts + width] = _NEG_INF
         position = np.arange(k.size) - self._threshold_bounds[k]  # c - 1
-        self._threshold_pos = tpos = starts[k] + position + 1
+        tpos = starts[k] + position + 1
         # Proposal step c draws threshold c of every member-scale that has
         # one, inside (proposed c-1, current c+1): its values, in the order
         # of the member-scales, and their count per member.
@@ -260,18 +260,17 @@ class _GibbsKernel:
                 slice(self.coef_slices[first].start, self.coef_slices[end - 1].stop),
             ))
 
-        # the member-scale of every row; the threshold move takes the rows
-        # grouped by member-scale, so that each member-scale's rows, like
-        # its thresholds, are one contiguous slice
+        # the member-scale of every row; the threshold move groups the rows'
+        # log-likelihoods by member-scale (None if the rows already are), so
+        # that each member-scale's rows, like its thresholds, are one slice
         first_scale = [s.start for s in self.scale_slices]
         row_scale = np.concatenate([first + f.scale_index for first, f in zip(first_scale, fits)])
         labels = np.concatenate([f.dataset.labels for f in fits])
-        self._lower_pos = starts[row_scale] + labels - 1
-        self._upper_pos = self._lower_pos + 1
         order = np.argsort(row_scale, kind="stable")
         self._grouping = None if (row_scale[1:] >= row_scale[:-1]).all() else order
         both = np.array([[0], [width]])  # current, proposed
-        self._label_lower = self._lower_pos[order] + both
+        # each row's lower and upper edge slot, in row order
+        self._label_lower = starts[row_scale] + labels - 1 + both
         self._label_upper = self._label_lower + 1
         self._threshold_slots = tpos + both
         # threshold t is proposed inside (proposed t-1, current t+1) and
@@ -284,12 +283,11 @@ class _GibbsKernel:
         # A sweep's uniforms, in the order the blocks take them: proposal
         # values step by step, then the accept and latent parts, one value
         # per member-scale and per row. Each member draws its own in that
-        # order, so only the proposal values interleave members; order
-        # indexes the members' draws end to end (None for the identity).
+        # order, so only the proposal values interleave members; the order
+        # indexes the members' draws end to end.
         owner = np.concatenate((step_owner, scale_member, np.repeat(np.arange(num_members), row_counts)))
         self._uniform_counts = np.bincount(owner, minlength=num_members).tolist()
-        order = np.argsort(np.argsort(owner, kind="stable"))
-        self._uniform_order = None if num_members == 1 else order
+        self._uniform_order = np.argsort(np.argsort(owner, kind="stable"))
         self._accept_part = slice(k.size, k.size + len(scales))
         self._latent_part = slice(k.size + len(scales), None)
 
@@ -297,11 +295,11 @@ class _GibbsKernel:
         """A sweep's block of uniforms: one g.random call per member, the
         values in the order the block methods take them."""
         u = np.concatenate([g.random(n) for g, n in zip(rngs, self._uniform_counts)])
-        return u if self._uniform_order is None else u[self._uniform_order]
+        return u[self._uniform_order]
 
     def linear_predictor(self, coefs) -> np.ndarray:
         """The linear predictor of every row given the flat coefficients."""
-        eta = np.empty(self._lower_pos.size)
+        eta = np.empty(self.row_slices[-1].stop)
         for X, _, _, _, rows, cols in self._groups:
             k, n, p = X.shape
             np.matmul(X, coefs[cols].reshape(k, p, 1), out=eta[rows].reshape(k, n, 1))
@@ -335,7 +333,7 @@ class _GibbsKernel:
         its proposal values, then its accept uniforms.
         """
         edges = self._edges
-        edges[self._threshold_pos] = thresholds
+        edges[self._threshold_slots[0]] = thresholds
         sds = np.asarray(proposal_sds, dtype=float)
         variances = np.square(sds)[self._step_scale]
         # each step's means and upper bounds are current thresholds; only
@@ -351,7 +349,7 @@ class _GibbsKernel:
         if not np.maximum.reduce(log_ratios) < np.inf:  # a NaN or +inf ratio
             k = int(np.flatnonzero(~(log_ratios < np.inf))[0])
             rows = slice(self._row_bounds[k], self._row_bounds[k + 1])
-            eta_k = (eta if self._grouping is None else eta[self._grouping])[rows]
+            eta_k = eta[rows if self._grouping is None else self._grouping[rows]]
             raise SamplerPanicError(
                 "zero-probability or undefined state in threshold update: "
                 f"scale={self._scales[k].scale_id} "
@@ -384,12 +382,12 @@ class _GibbsKernel:
         edges = self._edges
         centre = np.array((thresholds, proposed), dtype=float)
         edges[self._threshold_slots] = centre
-        if self._grouping is not None:
-            eta = eta[self._grouping]
         # rows 0 and 1: the labels' log-likelihood under current and proposed
         loglik = log_interval_mass(
             edges[self._label_lower] - eta, edges[self._label_upper] - eta
         )
+        if self._grouping is not None:
+            loglik = loglik[:, self._grouping]
         above = edges[self._above]
         sds = np.asarray(proposal_sds, dtype=float)[self._threshold_scale]
         # rows 0 and 1: forward and reverse proposal normalizers
@@ -411,9 +409,9 @@ class _GibbsKernel:
         lower and upper bounds. uniforms is the sweep's block; the rows
         take its last part."""
         edges = self._edges
-        edges[self._threshold_pos] = thresholds
-        lowers = edges[self._lower_pos]
-        uppers = edges[self._upper_pos]
+        edges[self._threshold_slots[0]] = thresholds
+        lowers = edges[self._label_lower[0]]
+        uppers = edges[self._label_upper[0]]
         y_star = sample_truncated_normal_many(
             eta, 1.0, lowers, uppers, rngs, self._row_counts, uniforms[self._latent_part]
         )
