@@ -7,7 +7,7 @@ stderr so it never perturbs the artifacts.
 
 A flag beats the config document (--config or --preset), which beats
 the defaults: _config_doc writes each flag given over its key of the
-document, and the io readers check every value, flags included.
+document, and the config types check every value, flags included.
 
 Exit codes: 0 success, 1 validation/config error, 2 sampler or numerical
 error, 3 filesystem error.
@@ -71,7 +71,7 @@ def _config_doc(args, part=lambda doc: doc) -> dict:
     """The --config file as a dict, or part of the --preset document (an
     experiment config), or {} when there is neither, with each flag given
     written over its key: a flag beats the document, which beats the
-    defaults, and the io readers check every value, flags included."""
+    defaults, and the config types check every value, flags included."""
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
     if args.preset:
@@ -238,8 +238,8 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     dataset = _load_dataset(args)
     doc = _config_doc(args, _chain_part)
-    fraction = io.config_number(doc.pop("split_fraction", 2.0 / 3.0), "split_fraction")
-    splits = io.config_number(doc.pop("num_splits", 10), "num_splits", integer=True)
+    fraction = doc.pop("split_fraction", 2.0 / 3.0)
+    splits = doc.pop("num_splits", 10)
     config = io.chain_config_from_dict(doc)
 
     report = evaluate_splits(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import re
 from array import array
@@ -21,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DatasetValidationError
-from .model import ChainConfig, Dataset, Prior, ScaleSpec, validate_dataset
+from .model import ChainConfig, Dataset, Prior, ScaleSpec, config_number, validate_dataset
 from .sampler import DrawSet
 from .simulate import Design, ExperimentConfig
 
@@ -73,33 +72,6 @@ def read_json_object(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return doc
-
-
-def config_number(value, key: str, *, integer: bool = False, minimum=None, maximum=None):
-    """A JSON config value as a finite float, or as an int with integer=True,
-    between minimum and maximum; a ConfigError naming key otherwise.
-
-    Strings and booleans are rejected rather than coerced, and so is a count
-    with a fractional part such as 1.5.
-    """
-    number = None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            as_float = float(value)
-        except OverflowError:  # an int beyond the float range
-            as_float = math.inf
-        if integer and (isinstance(value, int) or as_float.is_integer()):
-            number = int(value)
-        elif not integer and math.isfinite(as_float):
-            number = as_float
-    if number is None:
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {number}")
-    if maximum is not None and number > maximum:
-        raise ConfigError(f"{key} must be <= {maximum}, got {number}")
-    return number
 
 
 # -- dataset ---------------------------------------------------------------
@@ -285,10 +257,6 @@ def write_table(path: str, header: list[str], rows: Iterable[tuple]):
 # -- configs ---------------------------------------------------------------
 
 
-def _count(value, key: str) -> int:
-    return config_number(value, key, integer=True)
-
-
 def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
@@ -297,10 +265,10 @@ def _object(value, key: str) -> dict:
 
 def _from_doc(cls, doc: dict, what: str, readers=None, **given):
     """cls built from a config document whose keys name fields of cls that
-    given does not fill. readers maps a key to the function checking its
-    value, _count by default; a field the document leaves out keeps its
-    default. Raises ConfigError on an unknown key, a missing required key
-    or a bad value."""
+    given does not fill. readers maps a key to the function turning its
+    JSON value into the field's; any other value goes to cls as it is, and
+    cls checks it. A field the document leaves out keeps its default.
+    Raises ConfigError on an unknown key, a missing required key or a bad value."""
     settable = [f for f in fields(cls) if f.name not in given]
     unknown = sorted(set(doc) - {f.name for f in settable})
     if unknown:
@@ -309,35 +277,22 @@ def _from_doc(cls, doc: dict, what: str, readers=None, **given):
     values = {}
     for f in settable:
         if f.name in doc:
-            values[f.name] = readers.get(f.name, _count)(doc[f.name], f.name)
+            values[f.name] = readers.get(f.name, lambda value, _: value)(doc[f.name], f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{what} is missing key {f.name!r}")
     return cls(**given, **values)
 
 
-def _prior_value(value, key: str):
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise ConfigError(
-            f"prior {key} must be a number or an array of numbers, "
-            f"got {json.dumps(value)}"
-        )
-    return value
-
-
 def _prior(value, key: str) -> Prior:
-    return _from_doc(Prior, _object(value, key), "prior",
-                     {"mean": _prior_value, "precision": _prior_value})
+    return _from_doc(Prior, _object(value, key), "prior")
 
 
 def _proposal_sd(value, key: str):
+    # a per-scale object's keys are JSON strings; ChainConfig checks the values
     if not isinstance(value, dict):
-        return config_number(value, key)
+        return value
     try:
-        return {int(k): config_number(v, f"{key} {k}") for k, v in value.items()}
+        return {int(k): v for k, v in value.items()}
     except ValueError:
         raise ConfigError(f"{key} keys must be scale ids, got {sorted(value)}") from None
 
@@ -352,17 +307,10 @@ def chain_config_from_dict(doc: dict) -> ChainConfig:
 DESIGN_KEYS = tuple(f.name for f in fields(Design))
 
 
-def _thresholds(value, key: str):
-    # one count for every scale, or a per-scale list
-    if isinstance(value, (list, tuple)):
-        return tuple(_count(t, key) for t in value)
-    return _count(value, key)
-
-
 def design_from_dict(doc: dict, command: str) -> Design:
     """The simulation design of a simulate or experiment config, one key per
-    field of Design, every count checked to be an integer."""
-    return _from_doc(Design, doc, f"{command} config", {"num_thresholds": _thresholds})
+    field of Design, which checks every value."""
+    return _from_doc(Design, doc, f"{command} config")
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
@@ -371,9 +319,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     top-level num_chains beats the chain object's; both are checked."""
     chain_config = chain_config_from_dict(_object(doc.get("chain", {}), "chain"))
     if "num_chains" in doc:  # beats the chain object's, checked the same way
-        chain_config = replace(
-            chain_config, num_chains=_count(doc["num_chains"], "num_chains")
-        )
+        chain_config = replace(chain_config, num_chains=doc["num_chains"])
     design = {k: doc[k] for k in DESIGN_KEYS if k in doc}
     own = {k: v for k, v in doc.items()
            if k not in design and k not in ("chain", "num_chains")}

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, StratificationError
-from .model import ChainConfig, Dataset, ScaleSpec, missing_classes
+from .model import ChainConfig, Dataset, ScaleSpec, config_number, missing_classes
 from .sampler import DrawSet, initial_state, run_in_chunks
 
 HEADLINE_METRICS = ("f1_macro", "tau_b", "harmonic")
@@ -332,14 +332,14 @@ def evaluate_splits(
     chunk in one lockstep batch, each fit drawing what its lone run draws;
     the first failed fit in split order is raised.
     """
-    if not 0.0 < float(split_fraction) < 1.0:
+    split_fraction = config_number(split_fraction, "split_fraction")
+    if not 0.0 < split_fraction < 1.0:
         raise ConfigError(f"split_fraction must be in (0,1), got {split_fraction}")
-    if int(num_splits) < 1:
-        raise ConfigError(f"num_splits must be >= 1, got {num_splits}")
+    num_splits = config_number(num_splits, "num_splits", integer=True, minimum=1)
     initial_state(dataset, chain_config)
 
     splits = []
-    for _ in range(int(num_splits)):
+    for _ in range(num_splits):
         train_rows, test_rows = _stratified_split(dataset, split_fraction, rng)
         seeds = [int(rng.integers(2**63)) for _ in range(1 + len(dataset.scales))]
         splits.append((train_rows, test_rows, seeds))
@@ -400,5 +400,5 @@ def evaluate_splits(
     return EvaluationReport(
         long_rows=long_rows,
         diff_rows=diff_rows,
-        num_splits=int(num_splits),
+        num_splits=num_splits,
     )

@@ -9,12 +9,50 @@ boundary convention: class 1 covers (-inf, g_1], class C covers
 
 from __future__ import annotations
 
+import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import std_normal_quantile
 from .errors import ConfigError, DatasetValidationError, InitializationError
+
+
+def _json_text(value) -> str:
+    """value as JSON text, numpy values as lists, or else its repr."""
+    try:
+        return json.dumps(value, default=lambda v: v.tolist())
+    except (AttributeError, TypeError, ValueError):
+        return repr(value)
+
+
+def config_number(value, key: str, *, integer: bool = False, minimum=None, maximum=None):
+    """A config value as a finite float, or as an int with integer=True,
+    between minimum and maximum; a ConfigError naming key otherwise.
+
+    Strings and booleans are rejected rather than coerced, and so is a count
+    with a fractional part such as 1.5; a count such as 2.0 becomes 2.
+    """
+    number = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            as_float = float(value)
+        except OverflowError:  # an int beyond the float range
+            as_float = math.inf
+        if integer and (isinstance(value, numbers.Integral) or as_float.is_integer()):
+            number = int(value)
+        elif not integer and math.isfinite(as_float):
+            number = as_float
+    if number is None:
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {_json_text(value)}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -25,13 +63,13 @@ class ScaleSpec:
     num_classes: int
 
     def __post_init__(self):
-        if int(self.num_classes) < 2:
-            raise ValueError(
-                f"scale {self.scale_id}: num_classes must be >= 2, "
-                f"got {self.num_classes}"
-            )
-        object.__setattr__(self, "scale_id", int(self.scale_id))
-        object.__setattr__(self, "num_classes", int(self.num_classes))
+        try:
+            scale_id = config_number(self.scale_id, "scale_id", integer=True)
+            num_classes = config_number(self.num_classes, "num_classes", integer=True, minimum=2)
+        except ConfigError as exc:
+            raise ValueError(f"scale {self.scale_id}: {exc}") from None
+        object.__setattr__(self, "scale_id", scale_id)
+        object.__setattr__(self, "num_classes", num_classes)
 
     @property
     def num_thresholds(self) -> int:
@@ -57,8 +95,17 @@ class Dataset:
         object.__setattr__(
             self, "features", np.ascontiguousarray(self.features, dtype=float)
         )
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
-        object.__setattr__(self, "scale_ids", np.asarray(self.scale_ids, dtype=int))
+        violations = []
+        for name, what in (("labels", "label"), ("scale_ids", "scale id")):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind == "f":  # a whole number, never rounded
+                rows = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
+                if rows.size:
+                    violations.append(f"rows {rows.tolist()}: {what} is not an integer")
+                    continue
+            object.__setattr__(self, name, values.astype(int, copy=False))
+        if violations:
+            raise DatasetValidationError(violations)
         object.__setattr__(self, "scales", tuple(self.scales))
 
     @property
@@ -119,6 +166,19 @@ class Prior:
     mean: float | np.ndarray = 0.0
     precision: float | np.ndarray = 1.0
 
+    def __post_init__(self):
+        for name in ("mean", "precision"):
+            value = getattr(self, name)
+            try:
+                arr = np.asarray(value)
+            except ValueError:  # ragged nesting
+                arr = np.asarray(None)
+            if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+                raise ConfigError(
+                    f"prior {name} must be a number or an array of numbers, "
+                    f"got {_json_text(value)}"
+                )
+
     def mean_vector(self, p: int) -> np.ndarray:
         m = np.asarray(self.mean, dtype=float)
         if m.ndim == 0:
@@ -128,11 +188,11 @@ class Prior:
         return m
 
     def precision_matrix(self, p: int) -> np.ndarray:
-        """The p x p prior precision; raises ConfigError unless it is finite,
+        """The p x p prior precision; raises ConfigError unless it is
         symmetric and positive definite."""
         prec = np.asarray(self.precision, dtype=float)
         if prec.ndim == 0:
-            if not (np.isfinite(prec) and prec > 0):
+            if not prec > 0:
                 raise ConfigError(
                     f"scalar prior precision must be finite and > 0, got {prec}"
                 )
@@ -141,8 +201,6 @@ class Prior:
             raise ConfigError(
                 f"prior precision has shape {prec.shape}, expected ({p}, {p})"
             )
-        if not np.all(np.isfinite(prec)):
-            raise ConfigError("prior precision matrix has non-finite entries")
         if not np.allclose(prec, prec.T, rtol=1e-10, atol=0.0):
             raise ConfigError("prior precision matrix is not symmetric")
         eigs = np.linalg.eigvalsh(prec)
@@ -173,13 +231,16 @@ class ChainConfig:
     num_chains: int = 1
 
     def __post_init__(self):
-        # counts and the seed become ints here, so no reader converts them
-        for name in ("burn_in", "thinning", "stored_draws", "seed", "num_chains"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        sd = self.proposal_sd
+        object.__setattr__(self, "proposal_sd", (
+            {k: config_number(v, f"proposal_sd {k}") for k, v in sd.items()}
+            if isinstance(sd, dict) else config_number(sd, "proposal_sd")
+        ))
         for name, least in (("burn_in", 0), ("thinning", 1), ("stored_draws", 1),
                             ("seed", 0), ("num_chains", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            object.__setattr__(self, name, config_number(
+                getattr(self, name), name, integer=True, minimum=least
+            ))
 
     @property
     def chain_sweeps(self) -> int:
@@ -192,13 +253,13 @@ class ChainConfig:
     def proposal_sd_for(self, scale_id: int) -> float:
         if isinstance(self.proposal_sd, dict):
             try:
-                sd = float(self.proposal_sd[scale_id])
+                sd = self.proposal_sd[scale_id]
             except KeyError:
                 raise ConfigError(
                     f"no proposal_sd entry for scale {scale_id}"
                 ) from None
         else:
-            sd = float(self.proposal_sd)
+            sd = self.proposal_sd
         # the proposal variance, sd squared, must be positive and finite too
         if not (sd > 0 and 0.0 < sd * sd < np.inf):
             raise ConfigError(

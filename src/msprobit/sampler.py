@@ -57,6 +57,7 @@ from .model import (
     ChainConfig,
     Dataset,
     ScaleSpec,
+    config_number,
     default_init,
     validate_dataset,
 )
@@ -674,9 +675,9 @@ def tune_proposal(
     never stored. Raises TuningError with the full rate trajectory if any
     scale is still unsettled after 20 windows.
     """
-    if not 0.0 < float(target_rate) < 1.0:
+    target = config_number(target_rate, "target_rate")
+    if not 0.0 < target < 1.0:
         raise ConfigError(f"target_rate must be in (0,1), got {target_rate}")
-    target = float(target_rate)
     coefs, thresholds = initial_state(dataset, config)
     kernel = _GibbsKernel([_Fit(dataset, config)])
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0x7459]))]

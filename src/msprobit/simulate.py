@@ -10,12 +10,12 @@ model per replication and reports RMSE against the simulation truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, MsprobitError, SimulationError
-from .model import ChainConfig, Dataset, ScaleSpec
+from .model import ChainConfig, Dataset, ScaleSpec, config_number
 from .sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_in_chunks
 
 _MAX_REDRAWS = 10_000
@@ -43,22 +43,16 @@ def labels_from_latent(y_star: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(gamma, y_star, side="left")
 
 
-def _is_count(value) -> bool:
-    """True for an int or numpy integer; a bool is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Design:
     """A simulation design: num_scales scales of obs_per_scale rows over
     num_features shared features. num_thresholds is one count for every
-    scale or a list of one count per scale, each an int or numpy integer
-    (not a bool), and every class of every scale gets at least
-    min_per_class rows.
+    scale or a list of one count per scale, and every class of every scale
+    gets at least min_per_class rows.
 
-    Counts become ints and num_thresholds a tuple of S counts here; a design
-    simulate_dataset cannot draw raises ConfigError. The size is checked
-    before anything is allocated.
+    Counts are checked here in field order and become ints, num_thresholds
+    a tuple of S counts; a design simulate_dataset cannot draw raises
+    ConfigError. The size is checked before anything is allocated.
     """
 
     num_scales: int
@@ -68,8 +62,13 @@ class Design:
     min_per_class: int = 1
 
     def __post_init__(self):
-        for name in ("num_scales", "obs_per_scale", "num_features", "min_per_class"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if name == "num_thresholds" and isinstance(value, (list, tuple, np.ndarray)):
+                value = tuple(config_number(t, name, integer=True) for t in value)
+            else:
+                value = config_number(value, name, integer=True)
+            object.__setattr__(self, name, value)
         S, n, p = self.num_scales, self.obs_per_scale, self.num_features
         k = self.min_per_class
         if min(S, n, p) >= 1 and S * n * p > MAX_STORED_VALUES:
@@ -78,16 +77,8 @@ class Design:
                 f"{MAX_STORED_VALUES} feature values (16 GiB) one dataset may hold"
             )
         num_thresholds = self.num_thresholds
-        if _is_count(num_thresholds):
+        if isinstance(num_thresholds, int):  # one count for every scale
             num_thresholds = (num_thresholds,) * S
-        if not isinstance(num_thresholds, (list, tuple, np.ndarray)) or not all(
-            _is_count(t) for t in num_thresholds
-        ):
-            raise ConfigError(
-                "num_thresholds must be an integer or a list of integers, "
-                f"got {num_thresholds!r}"
-            )
-        num_thresholds = tuple(int(t) for t in num_thresholds)
         object.__setattr__(self, "num_thresholds", num_thresholds)
         if len(num_thresholds) != S:
             raise ConfigError(
@@ -194,11 +185,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # counts and the seed become ints here, so no reader converts them
         for name, least in (("replications", 1), ("seed", 0)):
-            object.__setattr__(self, name, int(getattr(self, name)))
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            object.__setattr__(self, name, config_number(
+                getattr(self, name), name, integer=True, minimum=least
+            ))
         p, chain = self.design.num_features, self.chain_config
         for scale_id in range(1, self.design.num_scales + 1):
             chain.proposal_sd_for(scale_id)

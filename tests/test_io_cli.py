@@ -24,10 +24,10 @@ from scipy.stats import norm
 from msprobit import io, metrics
 from msprobit.cli import main
 from msprobit.errors import ConfigError, DatasetValidationError, MsprobitError
-from msprobit.model import ChainConfig, Dataset, ScaleSpec
+from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import preset
 from msprobit.sampler import MAX_STORED_VALUES, DrawSet, check_draw_store, run_chains
-from msprobit.simulate import _fit_seed, simulate_dataset
+from msprobit.simulate import Design, ExperimentConfig, _fit_seed, simulate_dataset
 from tests.files import read_table, read_truth
 
 
@@ -1193,6 +1193,71 @@ def test_cli_wrong_typed_config_values_fail_cleanly(small_dataset, case, data):
             code = main(argv + ["--config", config, "--out", os.path.join(tmp, "out")])
     assert code in (1, 2, 3), (command, path, doc)
     assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+# The Python types and functions check a config value as the CLI does: each
+# case is a command, the key path that sets the value in its config, the
+# values to draw, and the direct call given the value and the small dataset.
+_DESIGN = {key: SIM_CONFIG[key] for key in io.DESIGN_KEYS if key in SIM_CONFIG}
+_SHORT = ChainConfig(burn_in=0, thinning=1, stored_draws=2)
+_PYTHON_CASES = (
+    [("fit", (key,), _NOT_A_COUNT, lambda v, _, key=key: ChainConfig(**{key: v}))
+     for key in ("burn_in", "thinning", "stored_draws", "seed", "num_chains")]
+    + [("simulate", (key,), _NOT_A_COUNT,
+        lambda v, _, key=key: Design(**{**_DESIGN, key: v}))
+       for key in ("num_scales", "obs_per_scale", "num_features", "num_thresholds",
+                   "min_per_class")]
+    + [
+        ("experiment", ("replications",), _NOT_A_COUNT,
+         lambda v, _: ExperimentConfig(Design(**_DESIGN), v)),
+        ("experiment", ("seed",), _NOT_A_COUNT,
+         lambda v, _: ExperimentConfig(Design(**_DESIGN), 1, seed=v)),
+        ("fit", ("prior", "mean"), _NOT_A_NUMBER, lambda v, _: Prior(mean=v)),
+        ("fit", ("prior", "precision"), _NOT_A_NUMBER, lambda v, _: Prior(precision=v)),
+        # a JSON object is the per-scale form, whose keys become scale ids
+        ("fit", ("proposal_sd",), _NOT_A_NUMBER.filter(lambda v: not isinstance(v, dict)),
+         lambda v, _: ChainConfig(proposal_sd=v)),
+        ("fit", ("proposal_sd", "1"), _NOT_A_NUMBER,
+         lambda v, _: ChainConfig(proposal_sd={1: v, 2: 0.8})),
+        ("evaluate", ("split_fraction",), _NOT_A_NUMBER,
+         lambda v, data: metrics.evaluate_splits(
+             data, v, 1, _SHORT, np.random.default_rng(0))),
+        ("evaluate", ("num_splits",), _NOT_A_COUNT,
+         lambda v, data: metrics.evaluate_splits(
+             data, 0.6, v, _SHORT, np.random.default_rng(0))),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "case", _PYTHON_CASES, ids=["-".join((c[0],) + c[1]) for c in _PYTHON_CASES]
+)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_python_api_rejects_a_wrong_typed_value_as_the_cli_does(small_dataset, case, data):
+    command, path, values, call = case
+    value = data.draw(values, label="value")
+    chain = {**FIT_CONFIG, "prior": {"mean": 0.0, "precision": 1.0}}
+    doc = json.loads(json.dumps({
+        "simulate": SIM_CONFIG,
+        "fit": chain,
+        "evaluate": {**chain, "split_fraction": 0.6, "num_splits": 1},
+        "experiment": {**SIM_CONFIG, "replications": 1, "chain": chain},
+    }[command]))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _write_json(os.path.join(tmp, "config.json"), doc)
+        argv = [command] + ([small_dataset] if command in ("fit", "evaluate") else [])
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            assert main(argv + ["--config", config, "--out", os.path.join(tmp, "o")]) == 1
+    dataset = io.read_dataset(small_dataset, small_dataset[:-4] + ".scales.json")
+    with pytest.raises(ConfigError) as python_error:
+        call(value, dataset)
+    assert err.getvalue() == f"error: {python_error.value}\n"
 
 
 # -- fuzzed input files ------------------------------------------------------

@@ -34,6 +34,15 @@ def test_scale_spec_rejects_single_class():
     assert ScaleSpec(3, 4).num_thresholds == 3
 
 
+@pytest.mark.parametrize(
+    "scale_id, num_classes", [(1.7, 2.5), (1, 2.5), (1.7, 3), (True, 3), (1, np.nan)]
+)
+def test_scale_spec_rejects_a_non_integer_id_or_class_count(scale_id, num_classes):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ScaleSpec(scale_id, num_classes)
+    assert ScaleSpec(2.0, np.int64(3)) == ScaleSpec(2, 3)
+
+
 def test_dataset_accessors(two_scale_dataset):
     ds = two_scale_dataset
     assert ds.num_obs == 90
@@ -47,6 +56,20 @@ def test_dataset_accessors(two_scale_dataset):
     sub = ds.subset(np.array([0, 50]))
     assert sub.num_obs == 2
     assert sub.scale_ids.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+def test_dataset_rejects_non_integer_labels_and_scale_ids(bad):
+    with pytest.raises(DatasetValidationError) as err:
+        Dataset(np.ones((3, 2)), labels=[bad, 2.0, 1], scale_ids=[1.0, 1.9, 1],
+                scales=(ScaleSpec(1, 2),))
+    assert err.value.violations == [
+        "rows [0]: label is not an integer",
+        "rows [1]: scale id is not an integer",
+    ]
+    whole = Dataset(np.ones((3, 2)), labels=[1.0, 2.0, 1], scale_ids=[1.0, 1.0, 1],
+                    scales=(ScaleSpec(1, 2),))
+    assert whole.labels.tolist() == [1, 2, 1] and whole.labels.dtype.kind == "i"
 
 
 def test_validate_dataset_collects_all_violations():
@@ -114,8 +137,10 @@ def test_prior_rejects_asymmetric_precision():
 def test_prior_rejects_indefinite_precision():
     with pytest.raises(ConfigError, match="eigenvalue range"):
         Prior(precision=np.array([[1.0, 2.0], [2.0, 1.0]])).precision_matrix(2)
-    with pytest.raises(ConfigError, match="non-finite"):
-        Prior(precision=np.array([[1.0, np.nan], [np.nan, 1.0]])).precision_matrix(2)
+    with pytest.raises(
+        ConfigError, match="prior precision must be a number or an array of numbers"
+    ):
+        Prior(precision=np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ConfigError):
         Prior(precision=np.inf).precision_matrix(2)
 

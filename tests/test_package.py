@@ -47,3 +47,24 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "msprobit").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(
+                    (alias.asname or alias.name.split(".")[0], node.lineno)
+                    for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
