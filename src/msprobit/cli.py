@@ -28,6 +28,7 @@ from .errors import ConfigError, MsprobitError
 from .metrics import (
     evaluate_splits,
     fit_standardizer,
+    latent_scores,
     posterior_class_probabilities,
 )
 from .model import Dataset
@@ -129,28 +130,31 @@ def cmd_simulate(args):
 
 
 def _moments(draws: np.ndarray) -> dict:
-    return {"mean": draws.mean(axis=0).tolist(), "sd": draws.std(axis=0).tolist()}
+    return {"mean": [_json_value(m) for m in draws.mean(axis=0)],
+            "sd": [_json_value(s) for s in draws.std(axis=0)]}
 
 
-def _summary_doc(draws: DrawSet, acceptance: bool) -> dict:
+def _summary_doc(draws: DrawSet) -> dict:
     beta = draws.beta_draws
-    doc = {
-        "num_draws": len(draws),
-        "num_chains": int(np.unique(draws.chain_ids).size),
-        "beta": {
-            **_moments(beta),
-            "mcse": [_mcse(beta[:, j]) for j in range(beta.shape[1])],
-        },
-        "gamma": {
-            str(s.scale_id): _moments(draws.gamma_draws_for(s.scale_id))
-            for s in draws.scales
-        },
-        # 1-based coefficient indices from most to least certain
-        "beta_by_sd": [
-            int(j) + 1 for j in np.argsort(beta.std(axis=0), kind="stable")
-        ],
-    }
-    if acceptance:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is null
+        doc = {
+            "num_draws": len(draws),
+            "num_chains": int(np.unique(draws.chain_ids).size),
+            "beta": {
+                **_moments(beta),
+                "mcse": [_mcse(beta[:, j]) for j in range(beta.shape[1])],
+            },
+            "gamma": {
+                str(s.scale_id): _moments(draws.gamma_draws_for(s.scale_id))
+                for s in draws.scales
+            },
+            # 1-based coefficient indices from most to least certain
+            "beta_by_sd": [
+                int(j) + 1 for j in np.argsort(beta.std(axis=0), kind="stable")
+            ],
+        }
+    # draws read back from a file carry no proposals
+    if any(draws.proposal_counts.values()):
         doc["acceptance_rates"] = {
             str(sid): _json_value(rate) for sid, rate in draws.accept_rate.items()
         }
@@ -173,9 +177,7 @@ def cmd_fit(args):
         io.write_standardizer(_out_path(args, "standardization.json"), mean, sd)
 
     io.write_draws(_out_path(args, "draws.csv"), draws)
-    io.write_json(
-        _out_path(args, "fit_summary.json"), _summary_doc(draws, acceptance=True)
-    )
+    io.write_json(_out_path(args, "fit_summary.json"), _summary_doc(draws))
     rates = ", ".join(
         f"scale {sid}: {rate:.3f}" for sid, rate in sorted(draws.accept_rate.items())
     )
@@ -208,11 +210,12 @@ def cmd_predict(args):
             raise ConfigError(
                 f"standardizer has {mean.size} columns, dataset has {X.shape[1]}"
             )
-        X = (X - mean) / sd
+        with np.errstate(over="ignore"):  # latent_scores rejects an overflow
+            X = (X - mean) / sd
 
     # the latent mean of every row under every draw, (n, M), as one product:
     # a product of a few rows can round differently from the whole one
-    scores = X @ draws.beta_draws.T
+    scores = latent_scores(X, draws.beta_draws)
     # posterior-averaged (n, C), computed in row blocks
     probs = posterior_class_probabilities(scores, draws.gamma_draws_for(target))
     map_class = np.argmax(probs, axis=1) + 1
@@ -298,16 +301,16 @@ def cmd_experiment(args):
 
 def cmd_summarize(args):
     draws = io.read_draws(args.draws)
-    doc = _summary_doc(draws, acceptance=False)
+    doc = _summary_doc(draws)
     lines = [f"{'parameter':<14} {'mean':>14} {'sd':>14}"]
-    beta = doc["beta"]
-    for j, (m, s) in enumerate(zip(beta["mean"], beta["sd"]), start=1):
-        lines.append(f"{'beta_' + str(j):<14} {m:>14.6g} {s:>14.6g}")
-    for sid in sorted(doc["gamma"], key=int):
-        g = doc["gamma"][sid]
-        for j, (m, s) in enumerate(zip(g["mean"], g["sd"]), start=1):
-            name = f"gamma_{sid}_{j}"
-            lines.append(f"{name:<14} {m:>14.6g} {s:>14.6g}")
+    blocks = [("beta", doc["beta"])] + [
+        (f"gamma_{sid}", doc["gamma"][sid]) for sid in sorted(doc["gamma"], key=int)
+    ]
+    for prefix, moments in blocks:
+        for j, pair in enumerate(zip(moments["mean"], moments["sd"]), start=1):
+            # a moment summary.json writes as null prints as null
+            mean, sd = ("null" if v is None else format(v, ".6g") for v in pair)
+            lines.append(f"{prefix + '_' + str(j):<14} {mean:>14} {sd:>14}")
     lines.append(
         "beta by increasing posterior sd: "
         + ", ".join(str(j) for j in doc["beta_by_sd"])

@@ -12,12 +12,11 @@ posterior_class_probabilities and classify_draws reduce as they go.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, StratificationError
+from .errors import ConfigError, DatasetValidationError, NumericalError, StratificationError
 from .model import ChainConfig, Dataset, ScaleSpec, config_number, missing_classes
 from .sampler import DrawSet, initial_state, run_in_chunks
 
@@ -208,11 +207,31 @@ def classify_draws(scores: np.ndarray, gamma_draws: np.ndarray) -> np.ndarray:
     return pred
 
 
+def latent_scores(X: np.ndarray, beta_draws: np.ndarray) -> np.ndarray:
+    """The (n, M) latent means X @ beta_draws.T; NumericalError unless every
+    row's sum over the draws, and so each value and row mean, is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = X @ beta_draws.T
+        bad = np.count_nonzero(~np.isfinite(scores.sum(axis=1)))
+    if bad:
+        raise NumericalError(
+            f"latent scores of {bad} of {len(X)} rows overflow; the features are "
+            "too large for the coefficient draws"
+        )
+    return scores
+
+
 def fit_standardizer(X_train: np.ndarray):
     """Column means and scales from training rows only; zero-spread columns
-    keep scale 1 so they pass through unchanged."""
-    mean = X_train.mean(axis=0)
-    sd = X_train.std(axis=0)
+    keep scale 1 so they pass through unchanged. A column whose mean or sd
+    overflows is a DatasetValidationError naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X_train.mean(axis=0)
+        sd = X_train.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite([mean, sd]).all(axis=0))
+    if bad.size:
+        names = ", ".join(f"f{j + 1}" for j in bad)
+        raise DatasetValidationError([f"feature columns {names} are too large to standardize"])
     sd = np.where(sd > 0, sd, 1.0)
     return mean, sd
 
@@ -234,54 +253,33 @@ class EvaluationReport:
     num_splits: int
 
 
-def _side_metric_rows(
-    split_id: int,
-    model: str,
-    scale: ScaleSpec,
-    side: str,
-    drawset: DrawSet,
-    X: np.ndarray,
-    labels: np.ndarray,
-):
-    """Per-draw metric rows for one (model, scale, side) cell.
+def _cell_metrics(
+    scale: ScaleSpec, drawset: DrawSet, X: np.ndarray, labels: np.ndarray
+) -> dict:
+    """Per-draw metrics of one (model, scale, side) cell, name to (M,)
+    vector, in the long table's order: the headline metrics, then
+    f1_class_<c> for every class c.
 
     Every metric is computed for all draws at once. An empty side yields NaN
     for every metric so report shapes stay exact; tau_b and harmonic are NaN
-    in a draw where tau_b is undefined. Returns the rows plus the per-draw
-    headline vectors for aggregation.
+    in a draw where tau_b is undefined.
     """
-    m = len(drawset)
     names = list(HEADLINE_METRICS) + [
         f"f1_class_{c}" for c in range(1, scale.num_classes + 1)
     ]
     if labels.size == 0:
-        values = {name: np.full(m, np.nan) for name in names}
-    else:
-        scores = X @ drawset.beta_draws.T
-        pred = classify_draws(scores, drawset.gamma_draws_for(scale.scale_id))
-        f1_class, f1_macro, _ = f1_from_counts(
-            confusion_counts(pred, labels, scale.num_classes)
-        )
-        tau = kendall_tau_b_columns(scores, labels)
-        harm = harmonic_mean(f1_macro, np.where(tau < 0, 0.0, tau))
-        values = {"f1_macro": f1_macro, "tau_b": tau, "harmonic": harm}
-        for c in range(scale.num_classes):
-            values[f"f1_class_{c + 1}"] = f1_class[:, c]
-
-    rows = []
-    for name in names:
-        rows.extend(
-            zip(
-                repeat(split_id),
-                repeat(model),
-                repeat(scale.scale_id),
-                repeat(f"{name}_{side}"),
-                range(m),
-                values[name].tolist(),
-            )
-        )
-    headline = {name: values[name] for name in HEADLINE_METRICS}
-    return rows, headline
+        return {name: np.full(len(drawset), np.nan) for name in names}
+    scores = latent_scores(X, drawset.beta_draws)
+    pred = classify_draws(scores, drawset.gamma_draws_for(scale.scale_id))
+    f1_class, f1_macro, _ = f1_from_counts(
+        confusion_counts(pred, labels, scale.num_classes)
+    )
+    tau = kendall_tau_b_columns(scores, labels)
+    harm = harmonic_mean(f1_macro, np.where(tau < 0, 0.0, tau))
+    values = {"f1_macro": f1_macro, "tau_b": tau, "harmonic": harm}
+    for c in range(scale.num_classes):
+        values[f"f1_class_{c + 1}"] = f1_class[:, c]
+    return values
 
 
 def _stratified_split(
@@ -351,7 +349,8 @@ def evaluate_splits(
             if standardize:
                 mean, sd = fit_standardizer(train.features)
                 train = replace(train, features=(train.features - mean) / sd)
-                test = replace(test, features=(test.features - mean) / sd)
+                with np.errstate(over="ignore"):  # latent_scores rejects an overflow
+                    test = replace(test, features=(test.features - mean) / sd)
             yield (split_id, train, test), [
                 (data, replace(chain_config, seed=seed))
                 for (_, data), seed in zip(train.model_grid(), seeds)
@@ -367,25 +366,23 @@ def evaluate_splits(
         multi, *singles = results
 
         for s, single in zip(dataset.scales, singles):
-            headline: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+            cells = {}  # (model, side) -> the cell's per-draw metrics
             for model_name, drawset in (("multi", multi), ("single", single)):
                 for side, part in (("in", train), ("out", test)):
                     rows_s = part.rows_for_scale(s.scale_id)
-                    cell_rows, cell_headline = _side_metric_rows(
-                        split_id,
-                        model_name,
-                        s,
-                        side,
-                        drawset,
-                        part.features[rows_s],
-                        part.labels[rows_s],
+                    cell = cells[model_name, side] = _cell_metrics(
+                        s, drawset, part.features[rows_s], part.labels[rows_s]
                     )
-                    long_rows.extend(cell_rows)
-                    headline[(model_name, side)] = cell_headline
+                    for name, values in cell.items():
+                        metric = f"{name}_{side}"
+                        long_rows.extend(
+                            (split_id, model_name, s.scale_id, metric, d, v)
+                            for d, v in enumerate(values.tolist())
+                        )
             for side in ("in", "out"):
                 for name in HEADLINE_METRICS:
-                    mean_multi = _nanmean(headline[("multi", side)][name])
-                    mean_single = _nanmean(headline[("single", side)][name])
+                    mean_multi = _nanmean(cells["multi", side][name])
+                    mean_single = _nanmean(cells["single", side][name])
                     diff_rows.append(
                         (
                             split_id,

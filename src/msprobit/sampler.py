@@ -136,8 +136,14 @@ class _Fit:
         p = dataset.num_features
         prior_mean = config.prior.mean_vector(p)
         prior_prec = config.prior.precision_matrix(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            precision = prior_prec + X.T @ X
+        if not np.isfinite(precision).all():
+            raise LinearAlgebraError(
+                "posterior precision overflows; the features are too large"
+            )
         try:
-            chol = np.linalg.cholesky(prior_prec + X.T @ X)
+            chol = np.linalg.cholesky(precision)
         except np.linalg.LinAlgError as exc:
             raise LinearAlgebraError(
                 "posterior precision factorization failed; prior precision "
@@ -500,10 +506,11 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
     per chain, keeping every thinning-th post-burn-in state. Chain i of a
     fit draws from child i of SeedSequence(config.seed), exactly the values
     it would draw alone, so a fit's draws do not depend on the fits or
-    chains it runs beside. A batch that raises is run again in halves,
-    down to lone chains, so a failed fit's entry is the error of its
-    lowest failed chain, "chain i: sweep m: " before the message of a
-    sampler error, or the error its set-up raised. No fits give [].
+    chains it runs beside; its chains write into its DrawSet as they run.
+    A batch that raises is run again in halves, down to lone chains, so a
+    failed fit's entry is the error of its lowest failed chain, "chain i:
+    sweep m: " before the message of a sampler error, or the error its
+    set-up raised. No fits give [].
     """
     if not fits:
         return []
@@ -512,59 +519,48 @@ def run_fits(fits: list[tuple[Dataset, ChainConfig]]) -> list:
         raise ValueError(f"fits of one batch must share one schedule, got {sorted(schedules)}")
     ((burn_in, thinning, stored),) = schedules
 
-    errors = [{} for _ in fits]  # per fit: chain index -> error
-    store = [None] * len(fits)  # per fit: beta draws, threshold draws, accepts
-    members = []  # per chain: fit index, chain index, _Fit, start beta and thresholds, seed
+    results = []  # per fit: its DrawSet, or the error it failed with
+    members = []  # per chain: fit index, chain index, DrawSet, _Fit, start state, seed
     for k, (dataset, config) in enumerate(fits):
         try:
             beta0, thresholds0 = initial_state(dataset, config)
             check_draw_store(config.num_chains, stored, beta0.size + thresholds0.size)
             fit = _Fit(dataset, config)
         except MsprobitError as exc:
-            errors[k][0] = exc
+            results.append(exc)
             continue
         size = config.num_chains * stored
-        store[k] = (
-            np.empty((size, beta0.size)),
-            np.empty((size, thresholds0.size)),
-            np.zeros(len(dataset.scales), dtype=int),
+        draws = DrawSet(
+            beta_draws=np.empty((size, beta0.size)),
+            threshold_draws=np.empty((size, thresholds0.size)),
+            scales=dataset.scales,
+            chain_ids=np.repeat(np.arange(config.num_chains), stored),
+            iteration_ids=np.tile(
+                burn_in + thinning * np.arange(1, stored + 1), config.num_chains
+            ),
+            accept_counts={s.scale_id: 0 for s in dataset.scales},
+            proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
         )
+        results.append(draws)
         for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.num_chains)):
-            members.append((k, i, fit, beta0, thresholds0, child))
+            members.append((k, i, draws, fit, beta0, thresholds0, child))
     if members:
-        # members of one feature shape next to each other: one group each
-        members.sort(key=lambda member: member[2].dataset.features.shape)
-        _run_batch(members, (burn_in, thinning, stored), store, errors)
-
-    results = []
-    for k, (dataset, config) in enumerate(fits):
-        if errors[k]:
-            results.append(errors[k][min(errors[k])])
-            continue
-        beta_draws, threshold_draws, accepted = store[k]
-        results.append(
-            DrawSet(
-                beta_draws=beta_draws,
-                threshold_draws=threshold_draws,
-                scales=dataset.scales,
-                chain_ids=np.repeat(np.arange(config.num_chains), stored),
-                iteration_ids=np.tile(
-                    burn_in + thinning * np.arange(1, stored + 1), config.num_chains
-                ),
-                accept_counts={s.scale_id: int(c) for s, c in zip(dataset.scales, accepted)},
-                proposal_counts={s.scale_id: config.total_sweeps for s in dataset.scales},
-            )
-        )
+        # members of one feature shape next to each other: one group each;
+        # the sort is stable, so each fit's chains stay in chain order
+        members.sort(key=lambda member: member[3].dataset.features.shape)
+        _run_batch(members, (burn_in, thinning, stored), results)
     return results
 
 
-def _run_batch(members: list, schedule: tuple, store: list, errors: list):
+def _run_batch(members: list, schedule: tuple, results: list):
     """Run run_fits' members (chains) as one batch from their start states,
-    writing their draws into their fits' stores as they go, and add their
+    writing their draws into their fits' DrawSets as they go, and add their
     accept counts once the batch finishes. A batch that raises is run again
-    in halves; the error of a lone chain goes into errors."""
+    in halves, the first half first, so lone chains fail in member order;
+    a lone chain's error replaces its fit's DrawSet in results unless an
+    earlier chain's error has."""
     burn_in, thinning, stored = schedule
-    fit_ids, chain_ids, member_fits, betas, thresholds, seeds = zip(*members)
+    fit_ids, chain_ids, drawsets, member_fits, betas, thresholds, seeds = zip(*members)
     kernel = _GibbsKernel(list(member_fits))
     coefs = np.concatenate(betas)
     thresholds = np.concatenate(thresholds)
@@ -578,21 +574,24 @@ def _run_batch(members: list, schedule: tuple, store: list, errors: list):
             if len(members) == 1:
                 if isinstance(exc, MsprobitError):
                     exc = _with_prefix(exc, f"chain {chain_ids[0]}: sweep {m}: ")
-                errors[fit_ids[0]][chain_ids[0]] = exc
+                if results[fit_ids[0]] is drawsets[0]:
+                    results[fit_ids[0]] = exc
                 return
             half = len(members) // 2
-            _run_batch(members[:half], schedule, store, errors)
-            _run_batch(members[half:], schedule, store, errors)
+            _run_batch(members[:half], schedule, results)
+            _run_batch(members[half:], schedule, results)
             return
         accepted += accepts
         if m > burn_in and (m - burn_in) % thinning == 0:
             row = (m - burn_in) // thinning - 1
-            for k, i, cols, own in zip(fit_ids, chain_ids, kernel.coef_slices, kernel.threshold_slices):
-                beta_draws, threshold_draws, _ = store[k]
-                beta_draws[i * stored + row] = coefs[cols]
-                threshold_draws[i * stored + row] = thresholds[own]
-    for k, own in zip(fit_ids, kernel.scale_slices):
-        store[k][2][:] += accepted[own]
+            for draws, i, cols, own in zip(
+                drawsets, chain_ids, kernel.coef_slices, kernel.threshold_slices
+            ):
+                draws.beta_draws[i * stored + row] = coefs[cols]
+                draws.threshold_draws[i * stored + row] = thresholds[own]
+    for draws, own in zip(drawsets, kernel.scale_slices):
+        for s, count in zip(draws.scales, accepted[own].tolist()):
+            draws.accept_counts[s.scale_id] += count
 
 
 # The most member-rows, num_obs x num_chains summed over its fits, that one

@@ -116,8 +116,6 @@ def simulate_dataset(design: Design, rng: np.random.Generator) -> SimTruth:
             gamma = np.sort(
                 rng.normal(0.0, math.sqrt(_THRESHOLD_VARIANCE), num_thresholds)
             )
-            if gamma.size > 1 and not np.all(np.diff(gamma) > 0):
-                continue
             y_star = eta + rng.standard_normal(n)
             y = labels_from_latent(y_star, gamma)
             counts = np.bincount(y, minlength=num_classes + 1)[1:]

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -570,6 +571,104 @@ def test_cli_predict_rejects_non_finite_transform(
     assert not (out / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, sources, match",
+    [
+        ("simulate", [], "simulate needs --preset or --config"),
+        ("experiment", [], "experiment needs --preset or --config"),
+        ("simulate", ["--preset", "experiment1-desk", "--config", "{whole}"],
+         "pass either --preset or --config, not both"),
+        ("simulate", ["--config", "{partial}"],
+         "simulate config is missing key 'num_features'"),
+    ],
+    ids=["simulate-neither", "experiment-neither", "both", "missing-key"],
+)
+def test_cli_needs_one_whole_config_document(tmp_path, capsys, command, sources, match):
+    paths = {
+        "whole": _write_json(tmp_path / "whole.json", SIM_CONFIG),
+        "partial": _write_json(
+            tmp_path / "partial.json",
+            {k: v for k, v in SIM_CONFIG.items() if k != "num_features"},
+        ),
+    }
+    out = tmp_path / "o"
+    argv = [command, *(source.format(**paths) for source in sources), "--out", str(out)]
+    _fails_with_one_line(capsys, argv, match)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, columns, value, code, match",
+    [
+        ("fit", ["f1"], "1e155", 2,
+         "posterior precision overflows; the features are too large"),
+        ("evaluate", ["f1"], "1e155", 2,
+         "posterior precision overflows; the features are too large"),
+        ("fit --standardize", ["f1"], "1e300", 1,
+         "feature columns f1 are too large to standardize"),
+        ("predict", ["f1", "f2", "f3"], "1.7e308", 2,
+         "latent scores of 3 of 60 rows overflow"),
+    ],
+    ids=["fit", "evaluate", "fit-standardize", "predict"],
+)
+def test_cli_rejects_large_finite_features_in_one_line(
+    sim_dir, draws_path, tmp_path, capsys, command, columns, value, code, match
+):
+    # the first three rows' cells of columns set to value: finite, but
+    # too large for a product or a sum of squares
+    header, rows = read_table(str(sim_dir / "dataset.csv"))
+    for row in rows[:3]:
+        for column in columns:
+            row[header.index(column)] = value
+    data = str(tmp_path / "large.csv")
+    io.write_table(data, header, rows)
+    config = _write_json(tmp_path / "fit.json", FIT_CONFIG)
+    ev_config = _write_json(tmp_path / "ev.json", EVALUATE_CONFIG)
+    argv = {
+        "fit": ["fit", data, "--config", config],
+        "evaluate": ["evaluate", data, "--config", ev_config],
+        "fit --standardize": ["fit", data, "--config", config, "--standardize"],
+        "predict": ["predict", draws_path, data, "--scale", "1"],
+    }[command]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--scales", str(sim_dir / "dataset.scales.json"),
+                            "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and match in err, err
+    assert not out.exists()
+
+
+def test_cli_summarize_writes_null_for_a_moment_that_overflows(draws_path, tmp_path, capsys):
+    header, rows = read_table(draws_path)
+    rows[0][header.index("beta_1")] = "1e300"
+    draws = str(tmp_path / "large.csv")
+    io.write_table(draws, header, rows)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["summarize", draws, "--out", str(out)]) == 0
+    beta = json.loads((out / "summary.json").read_text())["beta"]
+    assert beta["mean"][0] == pytest.approx(1e299)
+    assert beta["sd"][0] is None and beta["mcse"][0] is None
+    assert all(isinstance(v, float) for v in beta["sd"][1:] + beta["mcse"][1:])
+    assert capsys.readouterr().out.splitlines()[1].split() == ["beta_1", "1e+299", "null"]
+
+
+def test_cli_evaluate_reports_a_split_it_cannot_stratify(sim_dir, tmp_path, capsys):
+    # one training row cannot cover every class
+    config = _write_json(tmp_path / "c.json", EVALUATE_CONFIG)
+    capsys.readouterr()
+    assert main(["evaluate", str(sim_dir / "dataset.csv"), "--config", config,
+                 "--fraction", "0.01", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no training split covered scale ") and err.count("\n") == 1
+    assert err.endswith(" in 100 attempts\n"), err
+
+
 _BEYOND_INT64 = "99999999999999999999"
 
 
@@ -881,6 +980,12 @@ def test_cli_experiment_rejects_non_integer_threshold_count(tmp_path, capsys):
             {"chain": {**FIT_CONFIG, "proposal_sd": 1e-200}},
             "proposal_sd for scale 1 must be > 0 and its square positive and finite",
         ),
+        ({"chain": 3}, "chain must be an object"),
+        ({"chain": {**FIT_CONFIG, "prior": [1]}}, "prior must be an object"),
+        (
+            {"chain": {**FIT_CONFIG, "prior": {"precision": [[1, 0], [0, 1]]}}},
+            "prior precision has shape (2, 2), expected (3, 3)",
+        ),
     ],
 )
 def test_cli_experiment_rejects_invalid_design_before_replicating(
@@ -911,6 +1016,7 @@ def test_cli_fit_rejects_non_integer_chain_count(sim_dir, tmp_path, capsys):
     [
         ("split_fraction", "abc", 'split_fraction must be a number, got "abc"'),
         ("num_splits", 1.5, "num_splits must be an integer, got 1.5"),
+        ("split_fraction", 1.5, "split_fraction must be in (0,1), got 1.5"),
     ],
 )
 def test_cli_evaluate_rejects_wrong_typed_split_settings(
@@ -1265,7 +1371,8 @@ def test_python_api_rejects_a_wrong_typed_value_as_the_cli_does(small_dataset, c
 # One edit of one input file: a cell, a line or a JSON value replaced,
 # deleted or added, a line dropped, or the file cut short.
 _FUZZ_VALUES = ("", "x", "nan", "inf", "-inf", "1e999", "-1e999", _BEYOND_INT64,
-                "-" + _BEYOND_INT64, "1" + "0" * 400, "0", "-1", "2", "0.5", "null", "[]")
+                "-" + _BEYOND_INT64, "1" + "0" * 400, "0", "-1", "2", "0.5", "null", "[]",
+                "1e155", "1e300")
 _FUZZ_EDITS = ("replace", "delete", "append", "drop", "truncate")
 # each input file and the commands that read it
 _FUZZ_READERS = {
@@ -1333,6 +1440,18 @@ def _fuzz_json(text, edit, where, cell, value):
     return json.dumps(doc).replace('"<value>"', token)
 
 
+def _assert_all_written_values_finite(out, command):
+    def reject(token):
+        raise AssertionError(f"{command} wrote {token} to {path}")
+
+    for path in pathlib.Path(out).iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject)
+        else:
+            for row in csv.reader(path.open()):
+                assert not {"inf", "-inf", "nan"} & set(row), (command, path, row)
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
     name=st.sampled_from(sorted(_FUZZ_READERS)),
@@ -1346,11 +1465,15 @@ def _fuzz_json(text, edit, where, cell, value):
 @example(name="dataset.scales.json", edit="replace", where=1, cell=0, value=_BEYOND_INT64)
 @example(name="draws.csv", edit="replace", where=1, cell=0, value=_BEYOND_INT64)
 @example(name="standardization.json", edit="replace", where=1, cell=0, value="1" + "0" * 400)
+@example(name="dataset.csv", edit="replace", where=1, cell=2, value="1e155")
+@example(name="draws.csv", edit="replace", where=1, cell=2, value="1e300")
 def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where, cell, value):
     """Every command that reads the edited file exits 0 to 3 without a
-    traceback, and a failure is exactly one error line on stderr. The
-    commands share one validation path: a dataset or sidecar edit that
-    makes fit exit 1 makes evaluate exit 1 with the same line."""
+    traceback, and a failure is exactly one error line on stderr. A command
+    that exits 0 writes no inf or nan cell to a CSV file and no Infinity or
+    NaN token to a JSON file. The commands share one validation path: a
+    dataset or sidecar edit that makes fit exit 1 makes evaluate exit 1 with
+    the same line."""
     texts, root = fuzz_inputs
     mutate = _fuzz_json if name.endswith(".json") else _fuzz_csv
     with tempfile.TemporaryDirectory() as tmp:
@@ -1375,6 +1498,8 @@ def test_cli_survives_one_edit_of_any_input_file(fuzz_inputs, name, edit, where,
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), (
                     command, err.getvalue())
+            else:
+                _assert_all_written_values_finite(os.path.join(tmp, "out"), command)
             outcomes[command] = code, err.getvalue()
         if "fit" in outcomes and outcomes["fit"][0] == 1:
             assert outcomes["evaluate"] == outcomes["fit"], outcomes

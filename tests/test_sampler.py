@@ -19,6 +19,7 @@ from msprobit.errors import (
     DegeneracyError,
     InitializationError,
     SamplerPanicError,
+    TuningError,
 )
 from msprobit.model import ChainConfig, Dataset, Prior, ScaleSpec
 from msprobit.presets import preset
@@ -700,6 +701,41 @@ def test_tune_proposal_settles_at_p_above_n(seed):
     config = io.chain_config_from_dict(preset("experiment2-desk")["chain"])
     tuned = tune_proposal(sim.dataset, config, target_rate=0.234)
     assert set(tuned) == {1, 2, 3}
+
+
+def test_tune_proposal_reports_the_trajectory_of_an_unsettled_scale(
+    monkeypatch, two_scale_dataset
+):
+    # one 200-sweep bracketing window cannot confirm any scale
+    monkeypatch.setattr(sampler, "_MAX_WINDOWS", 1)
+    with pytest.raises(TuningError) as raised:
+        tune_proposal(two_scale_dataset, ChainConfig(burn_in=0, seed=2))
+    message = str(raised.value)
+    assert message.startswith(
+        "proposal tuning did not settle for scales [1, 2] within 1 windows; "
+        "trajectory: [{'window': 0, 'size': 200, 'sds': [0.5, 0.5], 'rates': ["
+    ), message
+
+
+def test_post_sweep_check_names_the_failing_members_beta(two_scale_dataset):
+    config = ChainConfig()
+    fit = _Fit(two_scale_dataset, config)
+    kernel = _GibbsKernel([fit, fit])
+    beta, thresholds = sampler.initial_state(two_scale_dataset, config)
+    n = two_scale_dataset.num_obs
+    lowers, uppers = np.full(2 * n, -np.inf), np.full(2 * n, np.inf)
+    good = (np.arange(6.0), np.tile(thresholds, 2), np.zeros(2 * n))
+    kernel._check_state(*good, lowers, uppers)
+    # a non-finite coefficient, unordered thresholds, a latent outside its
+    # interval: each in member 1 only
+    coefs, flat, latents = (a.copy() for a in good)
+    coefs[4] = np.nan
+    flat[-2:] = flat[-1:-3:-1]
+    latents[-1] = np.inf
+    named = r"^post-sweep invariant violated: beta=\[3\.0, (4\.0|nan), 5\.0\] gammas="
+    for broken in ((coefs, *good[1:]), (good[0], flat, good[2]), (*good[:2], latents)):
+        with pytest.raises(SamplerPanicError, match=named):
+            kernel._check_state(*broken, lowers, uppers)
 
 
 def test_tune_proposal_validates_target(two_scale_dataset):
